@@ -206,8 +206,6 @@ def cmd_prune(args) -> int:
     originals = [model.adapter]
     optimized = [run(layer, optim) for layer in originals]
     for layer_index, opt in enumerate(optimized):
-        if not math.isfinite(opt.loss_trace[-1][1]):
-            raise NumericError(f"surrogate loss diverged on layer {layer_index}")
         trace_doc = {"layer": layer_index, "trace": [[t, v] for t, v in opt.loss_trace],
                      "converged_at": opt.converged_at}
         write_text_atomic(out / f"trace_layer{layer_index}.json",
@@ -309,10 +307,7 @@ def _node_polytope(bundle: WeightBundle, layer: int, node: int, dims: tuple[int,
     if not all(0 <= d < adapter.down.shape[1] for d in dims):
         raise DataError(f"dims {dims} out of range for {adapter.down.shape[1]} columns")
     pos, _ = node_generators(adapter, node)
-    try:
-        return zonotope_vertices(project_generators(pos, dims))
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    return zonotope_vertices(project_generators(pos, dims))
 
 
 def cmd_plot_zonotope(args) -> int:

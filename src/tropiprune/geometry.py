@@ -18,9 +18,6 @@ from .tropical import TropicalPolynomial, newton_points
 
 Point = tuple[float, float]
 
-#: Vertex-enumeration cap for zonotopes (2**m subset sums).
-MAX_ZONOTOPE_GENERATORS = 20
-
 #: Samples per edge when estimating Hausdorff distances.
 EDGE_SAMPLES = 64
 
@@ -105,21 +102,35 @@ def minkowski_sum(p1: Polytope2D, p2: Polytope2D) -> Polytope2D:
 
 
 def zonotope_vertices(z: Zonotope) -> Polytope2D:
-    """Hull of all subset sums of the generators, translated by the shift.
+    """Exact vertices of a 2-D zonotope from its generators sorted by angle.
 
-    Only 2-D zonotopes are enumerated; the generator count is capped at
-    MAX_ZONOTOPE_GENERATORS because the sweep is over 2**m corner points.
+    A segment [0, g] equals g + [0, -g], so every generator is flipped into
+    the upper half-plane and the flipped ones are folded into the base point.
+    Walking the sorted generators from the base point traces one boundary
+    chain and the suffix sums trace the other, which leaves 2m candidate
+    points for the hull instead of 2**m subset sums.
     """
     if z.dim != 2:
-        raise ValueError(f"vertex enumeration needs 2-D generators, got dim {z.dim}")
-    m = len(z.generators)
-    if m > MAX_ZONOTOPE_GENERATORS:
-        raise ValueError(f"{m} generators exceed the enumeration bound "
-                         f"{MAX_ZONOTOPE_GENERATORS}; project or sample instead")
-    sums = [(z.shift[0], z.shift[1])]
+        raise ValueError(f"zonotope vertices need 2-D generators, got dim {z.dim}")
+    bx, by = z.shift
+    upper: list[Point] = []
     for gx, gy in z.generators:
-        sums += [(x + gx, y + gy) for x, y in sums]
-    return convex_hull_2d(sums)
+        if gy < 0.0 or (gy == 0.0 and gx < 0.0):
+            bx, by = bx + gx, by + gy
+            upper.append((-gx, -gy))
+        elif gx != 0.0 or gy != 0.0:
+            upper.append((gx, gy))
+    upper.sort(key=lambda g: math.atan2(g[1], g[0]))
+    points = [(bx, by)]
+    x, y = bx, by
+    for gx, gy in upper:
+        x, y = x + gx, y + gy
+        points.append((x, y))
+    x, y = 0.0, 0.0
+    for gx, gy in reversed(upper[1:]):
+        x, y = x + gx, y + gy
+        points.append((bx + x, by + y))
+    return convex_hull_2d(points)
 
 
 def dual_subdivision_points(p: TropicalPolynomial) -> Polytope2D:

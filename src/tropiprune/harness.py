@@ -150,10 +150,18 @@ def logits(model: TinyModel, x: np.ndarray) -> np.ndarray:
     return adapted @ model.head_w.T + model.head_b
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
+def _softmax_xent(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """Softmax probabilities and the mean cross entropy of the labels y.
+
+    The loss is logsumexp(shifted) - shifted[y] on max-shifted logits: the
+    shifted exponentials sum to at least 1 and shifted[y] <= 0, so it never
+    goes negative, not even once a batch is classified with probability 1.
+    """
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    total = e.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(total[:, 0]) - shifted[np.arange(len(y)), y]))
+    return e / total, loss
 
 
 @dataclass(frozen=True)
@@ -189,8 +197,8 @@ def train(model: TinyModel, data: TaskData, steps: int = 2000, lr: float = 0.05,
         hidden = np.maximum(pre, 0.0)
         adapted = h + hidden @ up.T
         z = adapted @ head_w.T + head_b
-        probs = _softmax(z)
-        losses.append(float(-np.mean(np.log(probs[np.arange(batch), y] + 1e-12))))
+        probs, loss = _softmax_xent(z, y)
+        losses.append(loss)
         dz = probs.copy()
         dz[np.arange(batch), y] -= 1.0
         dz /= batch

@@ -12,15 +12,23 @@ Descent alternates between the two branches: even iterations step every
 node's positive branch, odd iterations the negative one.  ReLU and absolute
 value contribute their minimal-norm subgradient (zero at the kink), which
 keeps exact zeros stable once reached.
+
+The objective never forms the (d, r, d+1) generator stacks.  Every node
+scales the same down-projection rows, so both terms reduce to per-row sums
+over the nodes' signed parts (see objective_value): a call on a (d, r)
+adapter takes O(d*r) time and memory, a few (d, r) and (r, d+1) arrays at a
+time.  A node step works on one (r, d+1) array and the node's own up-row.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .adapter import AdapterLayer
+from .errors import NumericError
 
 POS, NEG = "pos", "neg"
 
@@ -70,23 +78,53 @@ def _check_shapes(layer: AdapterLayer, down_hat: np.ndarray, up_hat: np.ndarray)
             f"layer shapes {layer.down.shape}/{layer.up.shape}")
 
 
-def _generator_stack(down: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All node generators at once, shape (d, r, d+1) per branch."""
-    pos = np.maximum(up, 0.0)[:, :, None] * down[None, :, :]
-    neg = np.maximum(-up, 0.0)[:, :, None] * down[None, :, :]
-    return pos, neg
+def _branch_sign(branch: str) -> float:
+    if branch == POS:
+        return 1.0
+    if branch == NEG:
+        return -1.0
+    raise ValueError(f"branch must be {POS!r} or {NEG!r}, got {branch!r}")
+
+
+def _branch_parts(layer: AdapterLayer, up_hat: np.ndarray, node: int,
+                  branch: str) -> tuple[float, np.ndarray, np.ndarray]:
+    """The branch's sign and the node's up-row parts of the surrogate and the layer."""
+    if not 0 <= node < layer.width:
+        raise ValueError(f"node {node} out of range for width {layer.width}")
+    sign = _branch_sign(branch)
+    return sign, np.maximum(sign * up_hat[node], 0.0), np.maximum(sign * layer.up[node], 0.0)
 
 
 def objective_value(layer: AdapterLayer, down_hat: np.ndarray, up_hat: np.ndarray,
                     l1_pos: float, l1_neg: float) -> float:
-    """Full objective summed over all node slices and both branches."""
+    """Full objective summed over all node slices and both branches, in O(d*r).
+
+    Row j of node i's branch generator is p_ij * D_j, so with dD_j = Dh_j - D_j
+    and dp_ij = ph_ij - p_ij its distance row is ph_ij * dD_j + dp_ij * D_j.
+    Summed over nodes, each row contributes
+        0.5*[(sum_i ph_ij^2)|dD_j|^2 + 2(sum_i ph_ij dp_ij)<dD_j, D_j>
+             + (sum_i dp_ij^2)|D_j|^2] + l1*(sum_i ph_ij)|Dh_j|_1.
+    Every distance term carries a difference, so the value is exactly 0.0 at
+    the layer itself when the penalties are zero.
+    """
     down_hat = np.asarray(down_hat, dtype=np.float64)
     up_hat = np.asarray(up_hat, dtype=np.float64)
     _check_shapes(layer, down_hat, up_hat)
-    ref_pos, ref_neg = _generator_stack(layer.down, layer.up)
-    hat_pos, hat_neg = _generator_stack(down_hat, up_hat)
-    value = 0.5 * np.sum((hat_pos - ref_pos) ** 2) + 0.5 * np.sum((hat_neg - ref_neg) ** 2)
-    value += l1_pos * np.sum(np.abs(hat_pos)) + l1_neg * np.sum(np.abs(hat_neg))
+    # row sums are taken with .sum(): at toy shapes the per-call overhead of
+    # np.sum is a visible share of the fit
+    delta = down_hat - layer.down
+    delta_sq = (delta * delta).sum(axis=1)
+    cross = (delta * layer.down).sum(axis=1)
+    ref_sq = (layer.down * layer.down).sum(axis=1)
+    hat_l1 = np.abs(down_hat).sum(axis=1)
+    value = 0.0
+    for sign, l1 in ((1.0, l1_pos), (-1.0, l1_neg)):
+        part_hat = np.maximum(sign * up_hat, 0.0)
+        part_delta = part_hat - np.maximum(sign * layer.up, 0.0)
+        value += 0.5 * ((part_hat * part_hat).sum(axis=0) @ delta_sq
+                        + 2.0 * ((part_hat * part_delta).sum(axis=0) @ cross)
+                        + (part_delta * part_delta).sum(axis=0) @ ref_sq)
+        value += l1 * (part_hat.sum(axis=0) @ hat_l1)
     return float(value)
 
 
@@ -96,21 +134,24 @@ def branch_loss(layer: AdapterLayer, down_hat: np.ndarray, up_hat: np.ndarray,
     down_hat = np.asarray(down_hat, dtype=np.float64)
     up_hat = np.asarray(up_hat, dtype=np.float64)
     _check_shapes(layer, down_hat, up_hat)
-    part_hat, part_ref = _branch_parts(layer, up_hat, node, branch)
+    _, part_hat, part_ref = _branch_parts(layer, up_hat, node, branch)
     g_hat = part_hat[:, None] * down_hat
     g_ref = part_ref[:, None] * layer.down
     return float(0.5 * np.sum((g_hat - g_ref) ** 2) + l1 * np.sum(np.abs(g_hat)))
 
 
-def _branch_parts(layer: AdapterLayer, up_hat: np.ndarray, node: int,
-                  branch: str) -> tuple[np.ndarray, np.ndarray]:
-    if not 0 <= node < layer.width:
-        raise ValueError(f"node {node} out of range for width {layer.width}")
-    if branch == POS:
-        return np.maximum(up_hat[node], 0.0), np.maximum(layer.up[node], 0.0)
-    if branch == NEG:
-        return np.maximum(-up_hat[node], 0.0), np.maximum(-layer.up[node], 0.0)
-    raise ValueError(f"branch must be {POS!r} or {NEG!r}, got {branch!r}")
+def _node_step(down_hat: np.ndarray, ref_down: np.ndarray, part_hat: np.ndarray,
+               part_ref: np.ndarray, sign: float, l1: float) -> tuple[np.ndarray, np.ndarray]:
+    """One node's branch subgradient as (d_down, d_row), from its signed parts.
+
+    part_hat / part_ref are the node's up-row parts max(sign * row, 0) of the
+    surrogate and of the layer; d_row is the gradient of the node's up-row.
+    """
+    scale = part_hat[:, None]
+    g_hat = scale * down_hat
+    pull = g_hat - part_ref[:, None] * ref_down + l1 * np.sign(g_hat)
+    d_row = sign * np.where(part_hat > 0.0, (pull * down_hat).sum(axis=1), 0.0)
+    return scale * pull, d_row
 
 
 def subgradient(layer: AdapterLayer, down_hat: np.ndarray, up_hat: np.ndarray,
@@ -124,15 +165,8 @@ def subgradient(layer: AdapterLayer, down_hat: np.ndarray, up_hat: np.ndarray,
     down_hat = np.asarray(down_hat, dtype=np.float64)
     up_hat = np.asarray(up_hat, dtype=np.float64)
     _check_shapes(layer, down_hat, up_hat)
-    part_hat, part_ref = _branch_parts(layer, up_hat, node, branch)
-    g_hat = part_hat[:, None] * down_hat
-    diff = g_hat - part_ref[:, None] * layer.down
-    pull = diff + l1 * np.sign(g_hat)
-    d_down = part_hat[:, None] * pull
-    row = up_hat[node]
-    active = row > 0.0 if branch == POS else row < 0.0
-    chain = 1.0 if branch == POS else -1.0
-    d_row = chain * np.where(active, np.sum(pull * down_hat, axis=1), 0.0)
+    sign, part_hat, part_ref = _branch_parts(layer, up_hat, node, branch)
+    d_down, d_row = _node_step(down_hat, layer.down, part_hat, part_ref, sign, l1)
     d_up = np.zeros_like(up_hat)
     d_up[node] = d_row
     return d_down, d_up
@@ -144,20 +178,34 @@ def run(layer: AdapterLayer, config: OptimConfig) -> OptimResult:
     Starts from the layer's own matrices (zero distance, only the sparsity
     pressure moves anything).  Iteration t steps every node once on the
     positive branch when t is even, on the negative branch when t is odd.
+    Node i's step changes only its own up-row, so the iteration's surrogate
+    parts can be taken once, before the first node steps.
+
+    Raises:
+        NumericError: at the first iteration whose loss is not finite.
     """
     down_hat = layer.down.copy()
     up_hat = layer.up.copy()
+    parts_ref = {POS: np.maximum(layer.up, 0.0), NEG: np.maximum(-layer.up, 0.0)}
     trace: list[tuple[int, float]] = [
         (0, objective_value(layer, down_hat, up_hat, config.l1_pos, config.l1_neg))]
     converged_at: int | None = None
+    lr = config.lr
     for t in range(1, config.iterations + 1):
         branch = POS if t % 2 == 0 else NEG
         l1 = config.l1_pos if branch == POS else config.l1_neg
+        sign = _branch_sign(branch)
+        parts_hat = np.maximum(sign * up_hat, 0.0)
+        part_ref = parts_ref[branch]
         for node in range(layer.width):
-            d_down, d_up = subgradient(layer, down_hat, up_hat, node, branch, l1)
-            down_hat -= config.lr * d_down
-            up_hat[node] -= config.lr * d_up[node]
+            d_down, d_row = _node_step(down_hat, layer.down, parts_hat[node],
+                                       part_ref[node], sign, l1)
+            down_hat -= lr * d_down
+            up_hat[node] -= lr * d_row
         loss = objective_value(layer, down_hat, up_hat, config.l1_pos, config.l1_neg)
+        if not math.isfinite(loss):
+            raise NumericError(f"surrogate loss diverged at iteration {t} "
+                               f"on the {branch} branch: {loss!r}")
         trace.append((t, loss))
         if t >= config.window:
             prev = trace[t - config.window][1]

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 def enum_poly_value(terms, x):
     """Max-affine evaluation straight from the term list."""
@@ -87,3 +89,21 @@ def graham_hull_vertices(points, scale=16):
             stack.pop()
         stack.append(p)
     return {(x / scale, y / scale) for x, y in stack}
+
+
+def materialised_objective(down, up, down_hat, up_hat, l1_pos, l1_neg):
+    """Surrogate objective from its definition, all node generators at once.
+
+    Node i's positive generator is max(up[i], 0)[:, None] * down, so both
+    branches are (d, r, d+1) stacks: O(d^2 r) memory, fine at test sizes.
+    """
+    def stacks(dn, u):
+        dn, u = np.asarray(dn, dtype=np.float64), np.asarray(u, dtype=np.float64)
+        return (np.maximum(u, 0.0)[:, :, None] * dn[None, :, :],
+                np.maximum(-u, 0.0)[:, :, None] * dn[None, :, :])
+
+    ref_pos, ref_neg = stacks(down, up)
+    hat_pos, hat_neg = stacks(down_hat, up_hat)
+    value = 0.5 * np.sum((hat_pos - ref_pos) ** 2) + 0.5 * np.sum((hat_neg - ref_neg) ** 2)
+    value += l1_pos * np.sum(np.abs(hat_pos)) + l1_neg * np.sum(np.abs(hat_neg))
+    return float(value)

@@ -155,6 +155,15 @@ def test_prune_divergence_exits_4(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+def test_sweep_divergence_exits_4(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"optim.lr": 1e9, "optim.iterations": 200,
+                                  "task.n_train": 300, "train.steps": 200})
+    out_csv = tmp_path / "results.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out_csv)]) == 4
+    assert "diverged" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 def test_sweep_csv_contract(tmp_path):
     cfg = write_config(tmp_path, {
         "task.n_train": 300, "train.steps": 200,

@@ -124,8 +124,17 @@ def test_zonotope_point_degenerate():
 
 
 def test_zonotope_bounds():
-    with pytest.raises(ValueError):
-        zonotope_vertices(Zonotope(tuple([(1.0, 0.0)] * 21), (0, 0)))
+    # parallel copies add up to one segment, whatever their count
+    seg = zonotope_vertices(Zonotope(tuple([(1.0, 0.0)] * 21), (0, 0)))
+    assert seg.vertices == ((0.0, 0.0), (21.0, 0.0))
+    # 64 generators, far past any subset enumeration: dyadic generators and
+    # integer directions keep every support value exact
+    rng = np.random.default_rng(23)
+    gens = tuple((float(a / 16), float(b / 16))
+                 for a, b in rng.integers(-48, 49, size=(64, 2)))
+    verts = zonotope_vertices(Zonotope(gens, (0.0, 0.0))).vertices
+    for u in [(a, b) for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)]:
+        assert support(verts, u) == sum(max(0.0, g[0] * u[0] + g[1] * u[1]) for g in gens)
     with pytest.raises(ValueError):
         zonotope_vertices(Zonotope(((1.0, 0.0, 0.0),), (0.0, 0.0, 0.0)))
 

@@ -96,6 +96,17 @@ def test_train_loss_trend_is_non_increasing():
     assert ma[-1] < 0.25 * ma[0]
 
 
+def test_train_loss_is_never_negative():
+    # confidently separable: batches are classified with probability 1 within
+    # a few steps, where -log(p + 1e-12) would log -1e-12
+    data = generate_task(SyntheticTask("blobs", n_train=200, n_dev=10, n_test=10,
+                                       dim=8, classes=2, noise=0.01, seed=5))
+    result = train(init_model(8, 16, 4, 2, seed=6), data, steps=300, lr=5.0, batch=32,
+                   seed=7)
+    assert min(result.losses) == 0.0
+    assert all(loss >= 0.0 for loss in result.losses)
+
+
 def test_train_is_deterministic():
     _, _, a = quick_setup(seed=4, steps=120)
     _, _, b = quick_setup(seed=4, steps=120)

@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tropiprune import (AdapterLayer, OptimConfig, branch_loss, node_generators,
                         objective_value, run, subgradient)
+from tropiprune.errors import NumericError
+
+from oracles import materialised_objective
 
 
 def random_layer(rng, d=4, r=2, scale=1.0):
@@ -57,6 +62,43 @@ def test_objective_scalar_case():
     # single node, single weight: penalty is l1 * |3 * 2|
     layer = AdapterLayer(np.array([[2.0, 0.0]]), np.array([[3.0]]))
     assert objective_value(layer, layer.down, layer.up, 0.1, 0.0) == pytest.approx(0.6)
+
+
+def test_objective_matches_materialised_oracle():
+    rng = np.random.default_rng(4)
+    for _ in range(40):
+        d, r = int(rng.integers(1, 24)), int(rng.integers(1, 9))
+        scale = float(10.0 ** rng.integers(-3, 4))
+        layer = random_layer(rng, d=d, r=r, scale=scale)
+        lam1, lam2 = float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
+        assert objective_value(layer, layer.down, layer.up, 0.0, 0.0) == 0.0
+        assert materialised_objective(layer.down, layer.up, layer.down, layer.up,
+                                      0.0, 0.0) == 0.0
+        step = float(10.0 ** rng.integers(-4, 1))
+        down_hat = layer.down + step * scale * rng.normal(size=layer.down.shape)
+        up_hat = layer.up + step * scale * rng.normal(size=layer.up.shape)
+        # exact zeros, as the sparsity pressure leaves them
+        down_hat[rng.uniform(size=down_hat.shape) < 0.2] = 0.0
+        up_hat[rng.uniform(size=up_hat.shape) < 0.2] = 0.0
+        for lams in ((lam1, lam2), (0.0, 0.0)):
+            want = materialised_objective(layer.down, layer.up, down_hat, up_hat, *lams)
+            got = objective_value(layer, down_hat, up_hat, *lams)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_objective_memory_is_linear():
+    # the (d, r, d+1) stacks of a 256x16 adapter take about 8 MB each
+    rng = np.random.default_rng(6)
+    layer = random_layer(rng, d=256, r=16)
+    down_hat, up_hat = 0.5 * layer.down, 0.5 * layer.up
+    objective_value(layer, down_hat, up_hat, 0.1, 0.1)
+    tracemalloc.start()
+    try:
+        objective_value(layer, down_hat, up_hat, 0.1, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_objective_shape_mismatch():
@@ -205,3 +247,57 @@ def test_branch_alternation_touches_both_signs():
                                     l1_neg=0.5, tol=0.0))
     assert result.up[0, 0] != layer.up[0, 0]
     assert result.up[1, 0] != layer.up[1, 0]
+
+
+def reference_run(layer, cfg):
+    """run() as a plain loop over the public subgradient and the oracle objective."""
+    down_hat, up_hat = layer.down.copy(), layer.up.copy()
+
+    def value():
+        return materialised_objective(layer.down, layer.up, down_hat, up_hat,
+                                      cfg.l1_pos, cfg.l1_neg)
+
+    trace = [(0, value())]
+    for t in range(1, cfg.iterations + 1):
+        branch = "pos" if t % 2 == 0 else "neg"
+        l1 = cfg.l1_pos if branch == "pos" else cfg.l1_neg
+        for node in range(layer.width):
+            d_down, d_up = subgradient(layer, down_hat, up_hat, node, branch, l1)
+            down_hat -= cfg.lr * d_down
+            up_hat[node] -= cfg.lr * d_up[node]
+        trace.append((t, value()))
+        if t >= cfg.window:
+            prev = trace[t - cfg.window][1]
+            if abs(trace[-1][1] - prev) / max(abs(prev), 1e-300) < cfg.tol:
+                return down_hat, up_hat, trace, t
+    return down_hat, up_hat, trace, None
+
+
+@pytest.mark.parametrize("d,r", [(16, 4), (64, 8)])
+def test_run_matches_reference_loop(d, r):
+    rng = np.random.default_rng(d)
+    layer = random_layer(rng, d=d, r=r, scale=0.5)
+    cfg = OptimConfig(iterations=300, lr=1e-2, l1_pos=0.05, l1_neg=0.02, tol=1e-4, window=5)
+    result = run(layer, cfg)
+    down, up, trace, converged_at = reference_run(layer, cfg)
+    assert converged_at is not None and result.converged_at == converged_at
+    # bit for bit, signed zeros included
+    assert result.down.tobytes() == down.tobytes()
+    assert result.up.tobytes() == up.tobytes()
+    assert [t for t, _ in result.loss_trace] == [t for t, _ in trace]
+    for (_, got), (_, want) in zip(result.loss_trace, trace):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_run_raises_at_first_non_finite_iteration():
+    rng = np.random.default_rng(31)
+    layer = random_layer(rng, d=6, r=3)
+    cfg = OptimConfig(iterations=40, lr=2.0, l1_pos=0.1, l1_neg=0.1, tol=0.0)
+    with np.errstate(all="ignore"):
+        _, _, trace, _ = reference_run(layer, cfg)
+        first = next(t for t, v in trace if not np.isfinite(v))
+        assert first > 2
+        branch = "pos" if first % 2 == 0 else "neg"
+        with pytest.raises(NumericError,
+                           match=f"diverged at iteration {first} on the {branch} branch"):
+            run(layer, cfg)
