@@ -1,7 +1,7 @@
 """Geometry-preserving pruning of bottleneck adapter layers."""
 
-from .adapter import (AdapterLayer, GeneratorSet, compute_generators, forward,
-                      merge_bias, node_generators, split_pos_neg, tropical_parts)
+from .adapter import (AdapterLayer, forward, merge_bias, node_generators, split_pos_neg,
+                      tropical_parts)
 from .geometry import (Polytope2D, Zonotope, convex_hull_2d, dual_subdivision_points,
                        hausdorff_distance, minkowski_sum, project_generators,
                        zonotope_vertices)
@@ -17,10 +17,10 @@ from .tropical import (BOTTOM, TropicalMonomial, TropicalPolynomial, dominant_mo
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdapterLayer", "BOTTOM", "GeneratorSet", "OptimConfig", "OptimResult",
+    "AdapterLayer", "BOTTOM", "OptimConfig", "OptimResult",
     "ParamIndex", "Polytope2D", "PruneMask", "PruneScope", "SweepRecord",
     "SyntheticTask", "TinyModel", "TropicalMonomial", "TropicalPolynomial",
-    "Zonotope", "apply_mask", "branch_loss", "combined_select", "compute_generators",
+    "Zonotope", "apply_mask", "branch_loss", "combined_select",
     "convex_hull_2d", "dominant_monomials", "dual_subdivision_points", "evaluate",
     "forward", "generate_task", "hausdorff_distance", "init_model", "is_bottom",
     "merge_bias", "minkowski_sum", "monomial_eval", "newton_points", "node_generators",

@@ -144,23 +144,3 @@ def node_generators(layer: AdapterLayer, node: int) -> tuple[np.ndarray, np.ndar
     neg = np.maximum(-weights, 0.0)[:, None] * layer.down
     return pos, neg
 
-
-class GeneratorSet:
-    """Per-node generator pairs, computed on demand."""
-
-    def __init__(self, layer: AdapterLayer):
-        self.layer = layer
-
-    def __len__(self) -> int:
-        return self.layer.width
-
-    def pair(self, node: int) -> tuple[np.ndarray, np.ndarray]:
-        return node_generators(self.layer, node)
-
-    def __iter__(self):
-        for node in range(len(self)):
-            yield self.pair(node)
-
-
-def compute_generators(layer: AdapterLayer) -> GeneratorSet:
-    return GeneratorSet(layer)

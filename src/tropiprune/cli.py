@@ -21,10 +21,13 @@ from .bundle import WeightBundle, load_bundle, save_bundle, write_text_atomic
 from .errors import ConfigError, DataError, NumericError
 from .geometry import project_generators, zonotope_vertices
 from .adapter import node_generators
-from .harness import (METHODS, SyntheticTask, generate_task, init_model, sweep,
-                      train)
+from .harness import (METHODS, SyntheticTask, generate_task, init_model, prune_grid,
+                      sweep, train)
 from .optimizer import OptimConfig, run
-from .strategies import PruneScope, apply_mask, standard_mask, tropical_mask
+from .strategies import PruneScope, apply_mask
+# Not called here since prune_grid builds the masks; bench/tracing.py still
+# looks both names up on this module when it installs its spans.
+from .strategies import standard_mask, tropical_mask  # noqa: F401
 from .svgplot import loss_curve_svg, zonotope_overlay_svg
 
 SEED_ENV = "TROPIPRUNE_SEED"
@@ -215,23 +218,18 @@ def cmd_prune(args) -> int:
     save_bundle(WeightBundle(opt_model, optimized=True, meta=bundle.meta),
                 out / "optimized.json")
     report = {"total_params": sum(l.param_count for l in originals), "cells": []}
-    for p in fractions:
-        for scope in scopes:
-            trop_mask, p_hat = tropical_mask(originals, optimized, p, scope)
-            masks = {"tropical": (trop_mask, p_hat)}
-            std_mask = standard_mask(originals, p_hat, scope)
-            masks["standard"] = (std_mask, std_mask.fraction())
-            for method in methods:
-                mask, achieved = masks[method]
-                pruned = apply_mask(originals, mask)
-                pruned_model = replace(model, adapter=pruned[0])
-                name = f"pruned_{method}_{scope.value}_p{round(p * 100):03d}.json"
-                save_bundle(WeightBundle(pruned_model, meta=bundle.meta), out / name)
-                report["cells"].append({
-                    "method": method, "scope": scope.value, "p": p,
-                    "p_hat": achieved, "pruned": mask.count(),
-                    "total": mask.size(), "bundle": name,
-                })
+    for p, scope, masks in prune_grid(originals, optimized, fractions, scopes):
+        for method in methods:
+            mask, achieved = masks[method]
+            pruned = apply_mask(originals, mask)
+            pruned_model = replace(model, adapter=pruned[0])
+            name = f"pruned_{method}_{scope.value}_p{round(p * 100):03d}.json"
+            save_bundle(WeightBundle(pruned_model, meta=bundle.meta), out / name)
+            report["cells"].append({
+                "method": method, "scope": scope.value, "p": p,
+                "p_hat": achieved, "pruned": mask.count(),
+                "total": mask.size(), "bundle": name,
+            })
     report_path = out / "report.json"
     write_text_atomic(report_path, json.dumps(report, indent=1) + "\n")
     print(report_path)

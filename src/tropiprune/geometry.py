@@ -18,9 +18,6 @@ from .tropical import TropicalPolynomial, newton_points
 
 Point = tuple[float, float]
 
-#: Samples per edge when estimating Hausdorff distances.
-EDGE_SAMPLES = 64
-
 
 @dataclass(frozen=True)
 class Polytope2D:
@@ -185,28 +182,14 @@ def point_to_polytope(p: Point, poly: Polytope2D) -> float:
     return min(_point_segment_distance(p, verts[i], verts[(i + 1) % n]) for i in range(n))
 
 
-def _boundary_samples(poly: Polytope2D) -> list[Point]:
-    verts = poly.vertices
-    if len(verts) == 1:
-        return [verts[0]]
-    samples: list[Point] = []
-    n = len(verts)
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        for k in range(EDGE_SAMPLES):
-            t = k / EDGE_SAMPLES
-            samples.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
-    return samples
-
-
 def hausdorff_distance(p1: Polytope2D, p2: Polytope2D) -> float:
     """Symmetric Hausdorff distance between two convex regions.
 
-    Boundaries are densified with EDGE_SAMPLES points per edge; adequate as a
-    diagnostic and exact whenever the extremes sit on vertices.
+    The distance to a convex region is a convex function, so over a convex
+    polygon its maximum sits at a vertex: the vertices give the exact value.
     """
     if not p1.vertices or not p2.vertices:
         raise ValueError("polytopes must be non-empty")
-    d12 = max(point_to_polytope(s, p2) for s in _boundary_samples(p1))
-    d21 = max(point_to_polytope(s, p1) for s in _boundary_samples(p2))
+    d12 = max(point_to_polytope(v, p2) for v in p1.vertices)
+    d21 = max(point_to_polytope(v, p1) for v in p2.vertices)
     return max(d12, d21)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -239,6 +239,23 @@ def evaluate(model: TinyModel, x: np.ndarray, y: np.ndarray,
     raise ValueError(f"unknown metric {metric!r}")
 
 
+def prune_grid(originals: Sequence[AdapterLayer], optimized: Sequence,
+               fractions: Sequence[float], scopes: Sequence[PruneScope]
+               ) -> Iterator[tuple[float, PruneScope, dict]]:
+    """Both methods' masks for every cell, in (fraction, scope) order.
+
+    Yields (p, scope, {"tropical": (mask, p_hat), "standard": (mask, achieved)}).
+    The standard mask is ranked at the tropical mask's achieved fraction
+    p_hat, so the two methods prune about as many parameters.
+    """
+    for p in fractions:
+        for scope in scopes:
+            trop_mask, p_hat = tropical_mask(originals, optimized, p, scope)
+            std_mask = standard_mask(originals, p_hat, scope)
+            yield p, scope, {"tropical": (trop_mask, p_hat),
+                             "standard": (std_mask, std_mask.fraction())}
+
+
 @dataclass(frozen=True)
 class SweepRecord:
     task: str
@@ -281,22 +298,13 @@ def sweep(model: TinyModel, task: SyntheticTask, fractions: Sequence[float],
                 evaluate(pruned, data.x_test, data.y_test, metric))
 
     records: list[SweepRecord] = []
-    for p in fractions:
-        for scope in scopes:
-            trop_mask, p_hat = tropical_mask(originals, optimized, p, scope)
-            std_mask = standard_mask(originals, p_hat, scope)
-            trop_dev, trop_test = scored(trop_mask)
-            std_dev, std_test = scored(std_mask)
-            std_hat = std_mask.fraction()
-            cells = {
-                "standard": (std_dev, std_test, std_hat),
-                "tropical": (trop_dev, trop_test, p_hat),
-            }
-            winner = combined_select(std_dev, trop_dev)
-            cells["combined"] = cells[winner]
-            for method in METHODS:
-                if method in methods:
-                    dev, test, achieved = cells[method]
-                    records.append(SweepRecord(task.kind, method, scope.value,
-                                               float(p), achieved, dev, test, stamp))
+    for p, scope, masks in prune_grid(originals, optimized, fractions, scopes):
+        cells = {m: (*scored(mask), achieved) for m, (mask, achieved) in masks.items()}
+        winner = combined_select(cells["standard"][0], cells["tropical"][0])
+        cells["combined"] = cells[winner]
+        for method in METHODS:
+            if method in methods:
+                dev, test, achieved = cells[method]
+                records.append(SweepRecord(task.kind, method, scope.value,
+                                           float(p), achieved, dev, test, stamp))
     return records

@@ -182,36 +182,40 @@ def run(layer: AdapterLayer, config: OptimConfig) -> OptimResult:
     parts can be taken once, before the first node steps.
 
     Raises:
-        NumericError: at the first iteration whose loss is not finite.
+        NumericError: at the first iteration whose loss is not finite, with
+            numpy's overflow and invalid-value warnings silenced.
     """
     down_hat = layer.down.copy()
     up_hat = layer.up.copy()
     parts_ref = {POS: np.maximum(layer.up, 0.0), NEG: np.maximum(-layer.up, 0.0)}
-    trace: list[tuple[int, float]] = [
-        (0, objective_value(layer, down_hat, up_hat, config.l1_pos, config.l1_neg))]
-    converged_at: int | None = None
-    lr = config.lr
-    for t in range(1, config.iterations + 1):
-        branch = POS if t % 2 == 0 else NEG
-        l1 = config.l1_pos if branch == POS else config.l1_neg
-        sign = _branch_sign(branch)
-        parts_hat = np.maximum(sign * up_hat, 0.0)
-        part_ref = parts_ref[branch]
-        for node in range(layer.width):
-            d_down, d_row = _node_step(down_hat, layer.down, parts_hat[node],
-                                       part_ref[node], sign, l1)
-            down_hat -= lr * d_down
-            up_hat[node] -= lr * d_row
-        loss = objective_value(layer, down_hat, up_hat, config.l1_pos, config.l1_neg)
-        if not math.isfinite(loss):
-            raise NumericError(f"surrogate loss diverged at iteration {t} "
-                               f"on the {branch} branch: {loss!r}")
-        trace.append((t, loss))
-        if t >= config.window:
-            prev = trace[t - config.window][1]
-            if abs(loss - prev) / max(abs(prev), 1e-300) < config.tol:
-                converged_at = t
-                break
+    # a diverging fit overflows before its loss turns non-finite; the
+    # NumericError below reports it, so numpy's own warnings stay quiet
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace: list[tuple[int, float]] = [
+            (0, objective_value(layer, down_hat, up_hat, config.l1_pos, config.l1_neg))]
+        converged_at: int | None = None
+        lr = config.lr
+        for t in range(1, config.iterations + 1):
+            branch = POS if t % 2 == 0 else NEG
+            l1 = config.l1_pos if branch == POS else config.l1_neg
+            sign = _branch_sign(branch)
+            parts_hat = np.maximum(sign * up_hat, 0.0)
+            part_ref = parts_ref[branch]
+            for node in range(layer.width):
+                d_down, d_row = _node_step(down_hat, layer.down, parts_hat[node],
+                                           part_ref[node], sign, l1)
+                down_hat -= lr * d_down
+                up_hat[node] -= lr * d_row
+            loss = objective_value(layer, down_hat, up_hat, config.l1_pos, config.l1_neg)
+            if not math.isfinite(loss):
+                raise NumericError(f"surrogate loss diverged at iteration {t} "
+                                   f"on the {branch} branch: {loss!r}")
+            trace.append((t, loss))
+            if t >= config.window:
+                prev = trace[t - config.window][1]
+                if abs(loss - prev) / max(abs(prev), 1e-300) < config.tol:
+                    converged_at = t
+                    break
     down_hat.flags.writeable = False
     up_hat.flags.writeable = False
     return OptimResult(down_hat, up_hat, tuple(trace), converged_at)

@@ -11,10 +11,9 @@ fraction never exceeds the requested one.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,18 +48,6 @@ class PruneMask:
 
     entries: tuple[tuple[np.ndarray, np.ndarray], ...]
 
-    @classmethod
-    def from_indices(cls, layers: Sequence[AdapterLayer],
-                     indices: Iterable[ParamIndex]) -> "PruneMask":
-        masks = [(np.zeros(l.down.shape, dtype=bool), np.zeros(l.up.shape, dtype=bool))
-                 for l in layers]
-        for idx in indices:
-            masks[idx.layer][0 if idx.matrix == DOWN else 1][idx.row, idx.col] = True
-        for down_mask, up_mask in masks:
-            down_mask.flags.writeable = False
-            up_mask.flags.writeable = False
-        return cls(tuple(masks))
-
     def count(self) -> int:
         return sum(int(d.sum()) + int(u.sum()) for d, u in self.entries)
 
@@ -79,26 +66,55 @@ class PruneMask:
         return found
 
 
-def _iter_params(layers: Sequence[AdapterLayer]):
-    for li, layer in enumerate(layers):
-        for tag, mat in ((DOWN, layer.down), (UP, layer.up)):
-            rows, cols = mat.shape
-            for r in range(rows):
-                for c in range(cols):
-                    yield ParamIndex(li, tag, r, c), abs(float(mat[r, c]))
-
-
-def _group_key(idx: ParamIndex, scope: PruneScope):
-    if scope is PruneScope.CLASS_BLIND:
-        return ()
-    if scope is PruneScope.CLASS_UNIFORM:
-        return (idx.layer,)
-    return (idx.layer, idx.matrix, idx.row)
+def _frozen(masks: Sequence[tuple[np.ndarray, np.ndarray]]) -> PruneMask:
+    for down_mask, up_mask in masks:
+        down_mask.flags.writeable = False
+        up_mask.flags.writeable = False
+    return PruneMask(tuple(masks))
 
 
 def _take(fraction: float, size: int) -> int:
     # floor of the intended rational product; the epsilon undoes float dust
     return int(math.floor(fraction * size + 1e-9))
+
+
+def _pooled_smallest(mats: Sequence[np.ndarray], fraction: float) -> list[np.ndarray]:
+    """Masks of the bottom fraction of the matrices' magnitudes, ranked as one group.
+
+    The stable sort breaks ties by position in the concatenated flatten order.
+    """
+    mags = np.concatenate([np.abs(m).ravel() for m in mats])
+    flat = np.zeros(mags.size, dtype=bool)
+    flat[np.argsort(mags, kind="stable")[:_take(fraction, mags.size)]] = True
+    pieces = np.split(flat, np.cumsum([m.size for m in mats])[:-1])
+    return [piece.reshape(m.shape) for piece, m in zip(pieces, mats)]
+
+
+def _row_smallest(mat: np.ndarray, fraction: float) -> np.ndarray:
+    """Mask of the bottom fraction of each row's magnitudes, ties to the lower column."""
+    order = np.argsort(np.abs(mat), axis=1, kind="stable")[:, :_take(fraction, mat.shape[1])]
+    mask = np.zeros(mat.shape, dtype=bool)
+    np.put_along_axis(mask, order, True, axis=1)
+    return mask
+
+
+def _smallest(layers: Sequence[AdapterLayer], fraction: float,
+              scope: PruneScope) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (down, up) masks of the bottom fraction within each scope group.
+
+    A group's entries tie-break in flatten order (layer, then down before
+    up, then row-major), so of two equal magnitudes the earlier one goes.
+    """
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
+    if not layers:
+        raise ValueError("no layers to rank")
+    if scope is PruneScope.CLASS_BLIND:
+        flat = _pooled_smallest([m for l in layers for m in (l.down, l.up)], fraction)
+        return list(zip(flat[::2], flat[1::2]))
+    if scope is PruneScope.CLASS_UNIFORM:
+        return [tuple(_pooled_smallest([l.down, l.up], fraction)) for l in layers]
+    return [(_row_smallest(l.down, fraction), _row_smallest(l.up, fraction)) for l in layers]
 
 
 def select_smallest(layers: Sequence[AdapterLayer], fraction: float,
@@ -108,16 +124,7 @@ def select_smallest(layers: Sequence[AdapterLayer], fraction: float,
     Equal magnitudes break ties by index order, so the selection is a pure
     function of the values.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
-    groups: dict[tuple, list[tuple[float, ParamIndex]]] = defaultdict(list)
-    for idx, mag in _iter_params(layers):
-        groups[_group_key(idx, scope)].append((mag, idx))
-    chosen: set[ParamIndex] = set()
-    for key in sorted(groups):
-        members = sorted(groups[key])
-        chosen.update(idx for _, idx in members[:_take(fraction, len(members))])
-    return chosen
+    return standard_mask(layers, fraction, scope).indices()
 
 
 def _check_matching(originals: Sequence[AdapterLayer], optimized: Sequence) -> None:
@@ -137,18 +144,17 @@ def tropical_mask(originals: Sequence[AdapterLayer], optimized: Sequence,
     at most `fraction`.
     """
     _check_matching(originals, optimized)
-    ranked_orig = select_smallest(originals, fraction, scope)
     surrogates = [AdapterLayer(o.down, o.up) for o in optimized]
-    ranked_opt = select_smallest(surrogates, fraction, scope)
-    agreed = ranked_orig & ranked_opt
-    mask = PruneMask.from_indices(originals, agreed)
+    mask = _frozen([(od & sd, ou & su) for (od, ou), (sd, su) in
+                    zip(_smallest(originals, fraction, scope),
+                        _smallest(surrogates, fraction, scope))])
     return mask, mask.fraction()
 
 
 def standard_mask(layers: Sequence[AdapterLayer], fraction: float,
                   scope: PruneScope) -> PruneMask:
     """Plain smallest-magnitude mask at the given (usually achieved) fraction."""
-    return PruneMask.from_indices(layers, select_smallest(layers, fraction, scope))
+    return _frozen(_smallest(layers, fraction, scope))
 
 
 def apply_mask(layers: Sequence[AdapterLayer], mask: PruneMask) -> list[AdapterLayer]:

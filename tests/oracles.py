@@ -107,3 +107,64 @@ def materialised_objective(down, up, down_hat, up_hat, l1_pos, l1_neg):
     value = 0.5 * np.sum((hat_pos - ref_pos) ** 2) + 0.5 * np.sum((hat_neg - ref_neg) ** 2)
     value += l1_pos * np.sum(np.abs(hat_pos)) + l1_neg * np.sum(np.abs(hat_neg))
     return float(value)
+
+
+def sampled_hausdorff(vertices_a, vertices_b, edge_samples=64):
+    """Hausdorff distance of two convex polygons from densified boundaries.
+
+    Each CCW vertex list is walked edge by edge at `edge_samples` evenly
+    spaced points (the vertices among them); a sample's distance to the other
+    polygon is 0 inside it and else the nearest edge distance.
+    """
+    def samples(verts):
+        if len(verts) == 1:
+            return list(verts)
+        out = []
+        for i, a in enumerate(verts):
+            b = verts[(i + 1) % len(verts)]
+            out += [(a[0] + k / edge_samples * (b[0] - a[0]),
+                     a[1] + k / edge_samples * (b[1] - a[1])) for k in range(edge_samples)]
+        return out
+
+    def seg_dist(p, a, b):
+        vx, vy = b[0] - a[0], b[1] - a[1]
+        wx, wy = p[0] - a[0], p[1] - a[1]
+        vv = vx * vx + vy * vy
+        t = 0.0 if vv == 0.0 else max(0.0, min(1.0, (wx * vx + wy * vy) / vv))
+        return math.hypot(wx - t * vx, wy - t * vy)
+
+    def dist(p, verts):
+        n = len(verts)
+        if n == 1:
+            return math.hypot(p[0] - verts[0][0], p[1] - verts[0][1])
+        edges = [(verts[i], verts[(i + 1) % n]) for i in range(n)]
+        inside = n >= 3 and all((b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+                                >= -1e-12 for a, b in edges)
+        return 0.0 if inside else min(seg_dist(p, a, b) for a, b in edges)
+
+    return max(max(dist(s, vertices_b) for s in samples(vertices_a)),
+               max(dist(s, vertices_a) for s in samples(vertices_b)))
+
+
+def brute_smallest(layers, fraction, scope):
+    """Bottom-fraction selection re-enumerated one parameter at a time.
+
+    `layers` are (down, up) matrix pairs and `scope` is "CB", "CU" or "CN".
+    Each group sorts its (magnitude, layer, matrix, row, col) tuples, so ties
+    go to the earlier layer, down before up, then row-major.  Returns a set
+    of (layer, matrix, row, col) tuples.
+    """
+    groups = {}
+    for li, pair in enumerate(layers):
+        for tag, mat in zip(("down", "up"), pair):
+            mat = np.asarray(mat, dtype=np.float64)
+            for r in range(mat.shape[0]):
+                for c in range(mat.shape[1]):
+                    key = {"CB": (), "CU": (li,), "CN": (li, tag, r)}[scope]
+                    groups.setdefault(key, []).append((abs(float(mat[r, c])), li, tag, r, c))
+    picked = set()
+    for members in groups.values():
+        members.sort()
+        take = int(math.floor(fraction * len(members) + 1e-9))
+        picked.update(m[1:] for m in members[:take])
+    return picked

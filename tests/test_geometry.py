@@ -9,7 +9,7 @@ from tropiprune import (TropicalPolynomial, Zonotope, convex_hull_2d,
                         zonotope_vertices)
 from tropiprune.geometry import point_to_polytope
 
-from oracles import graham_hull_vertices, subset_sums, support
+from oracles import graham_hull_vertices, sampled_hausdorff, subset_sums, support
 
 
 def dyadic_points(rng, n, scale=4.0, grid=32):
@@ -195,6 +195,26 @@ def test_hausdorff_degenerate_shapes():
     seg = convex_hull_2d([(0, 0), (3, 4)])
     assert hausdorff_distance(pt, seg) == pytest.approx(5.0, abs=1e-12)
     assert point_to_polytope((3.0, 4.0), pt) == 5.0
+
+
+def test_hausdorff_matches_sampled_boundaries():
+    square = convex_hull_2d([(0, 0), (1, 0), (1, 1), (0, 1)])
+    # parallel edges: the distance is flat along the whole top and bottom
+    wide = convex_hull_2d([(-1, 0.25), (2, 0.25), (2, 0.75), (-1, 0.75)])
+    # collinear segments: samples inside a segment can round off its line
+    short = convex_hull_2d([(0.0, 0.0), (0.3, 0.7)])
+    long = convex_hull_2d([(0.0, 0.0), (0.6, 1.4)])
+    cases = [(square, wide), (wide, square), (short, long),
+             (convex_hull_2d([(0, 0)]), square),
+             (convex_hull_2d([(0, 0), (3, 4)]), wide)]
+    rng = np.random.default_rng(43)
+    for _ in range(60):
+        a = zonotope_vertices(project_generators(rng.normal(size=(4, 2)), (0, 1)))
+        b = zonotope_vertices(project_generators(rng.normal(size=(4, 2)), (0, 1)))
+        cases.append((a, b))
+    for a, b in cases:
+        assert hausdorff_distance(a, b) == pytest.approx(
+            sampled_hausdorff(a.vertices, b.vertices), rel=1e-12, abs=1e-15)
 
 
 def test_project_generators():

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -300,4 +301,14 @@ def test_run_raises_at_first_non_finite_iteration():
         branch = "pos" if first % 2 == 0 else "neg"
         with pytest.raises(NumericError,
                            match=f"diverged at iteration {first} on the {branch} branch"):
+            run(layer, cfg)
+
+
+def test_diverging_run_raises_without_numpy_warnings():
+    rng = np.random.default_rng(47)
+    layer = random_layer(rng, d=16, r=4)
+    cfg = OptimConfig(iterations=200, lr=1e9, tol=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="diverged"):
             run(layer, cfg)

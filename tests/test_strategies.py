@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from tropiprune import (AdapterLayer, ParamIndex, PruneMask, PruneScope,
+from tropiprune import (AdapterLayer, ParamIndex, PruneScope,
                         apply_mask, combined_select, forward, select_smallest,
                         standard_mask, tropical_mask)
+
+from oracles import brute_smallest
 
 CB, CU, CN = PruneScope.CLASS_BLIND, PruneScope.CLASS_UNIFORM, PruneScope.NODE_WISE
 
@@ -32,6 +34,8 @@ def test_select_empty_and_full():
         assert len(select_smallest(layers, 1.0, scope)) == total
     with pytest.raises(ValueError):
         select_smallest(layers, 1.5, CB)
+    with pytest.raises(ValueError):
+        standard_mask([], 0.5, CB)
 
 
 def test_select_smallest_by_magnitude():
@@ -166,10 +170,40 @@ def test_per_layer_counts_follow_floor():
         assert abs(got - int(p * layer.param_count)) <= 1
 
 
+def tied_layer(rng, d, r):
+    """Small integer weights: heavy ties, and signed zeros among them."""
+    def mat(shape):
+        m = rng.integers(-3, 4, size=shape).astype(float)
+        m[rng.uniform(size=shape) < 0.2] = -0.0
+        return m
+    return AdapterLayer(mat((r, d + 1)), mat((d, r)))
+
+
+def test_masks_match_brute_ranking_on_tied_multi_layer_inputs():
+    rng = np.random.default_rng(29)
+    fractions = (0.0, 0.1, 1 / 3, 0.37, 0.5, 0.8, 0.95, 1.0)
+    for _ in range(12):
+        shapes = [(int(rng.integers(2, 6)), int(rng.integers(1, 4)))
+                  for _ in range(int(rng.integers(2, 4)))]
+        originals = [tied_layer(rng, d, r) for d, r in shapes]
+        surrogates = [tied_layer(rng, d, r) for d, r in shapes]
+        pairs_o = [(l.down, l.up) for l in originals]
+        pairs_s = [(l.down, l.up) for l in surrogates]
+        for scope in (CB, CU, CN):
+            for p in fractions:
+                want = brute_smallest(pairs_o, p, scope.value)
+                assert {tuple(i) for i in standard_mask(originals, p, scope).indices()} == want
+                mask, p_hat = tropical_mask(originals, surrogates, p, scope)
+                agreed = want & brute_smallest(pairs_s, p, scope.value)
+                assert {tuple(i) for i in mask.indices()} == agreed
+                assert p_hat == len(agreed) / mask.size()
+
+
 def test_apply_mask():
     rng = np.random.default_rng(21)
     layer = random_layer(rng)
-    empty = PruneMask.from_indices([layer], [])
+    empty = standard_mask([layer], 0.0, CB)
+    assert empty.count() == 0
     copy = apply_mask([layer], empty)[0]
     assert np.array_equal(copy.down, layer.down) and np.array_equal(copy.up, layer.up)
 
