@@ -3,17 +3,24 @@
 Every command reads a JSON config, runs deterministically for the seeds it is
 given, and writes its outputs atomically.  Exit codes: 0 success, 2 config
 error, 3 data error, 4 numeric failure.
+
+Every config key is checked: an unknown section or key, or a malformed value,
+exits 2.  The `task`, `model`, `train` and `optim` keys are the keyword
+arguments of `SyntheticTask`, `init_model`, `train` and `OptimConfig`; an
+omitted key takes that callee's default, and the callee checks the values.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,6 +42,17 @@ SEED_ENV = "TROPIPRUNE_SEED"
 CSV_HEADER = ["task", "method", "scope", "p", "p_hat", "retained_pct",
               "dev_metric", "test_metric", "seed"]
 
+# A library section's keys are the int/float/str parameters of its callee, read
+# here once so that a wrapper later bound to the callee's name is coerced too.
+_PARAMS = {
+    section: {name: p for name, p in inspect.signature(fn, eval_str=True).parameters.items()
+              if p.annotation in (int, float, str)}
+    for section, fn in (("task", SyntheticTask), ("model", init_model),
+                        ("train", train), ("optim", OptimConfig))
+}
+_KEYS = {**_PARAMS, "prune": ("fractions", "scopes", "methods"), "sweep": ("seeds",),
+         "out": ("dir",)}
+
 
 def _load_config(path: str) -> dict:
     try:
@@ -47,27 +65,15 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
+    for section, keys in cfg.items():
+        if section not in _KEYS:
+            raise ConfigError(f"unknown section {section!r}; expected {list(_KEYS)}")
+        if not isinstance(keys, dict):
+            raise ConfigError(f"section {section} must be a JSON object")
+        for key in keys:
+            if key not in _KEYS[section]:
+                raise ConfigError(f"unknown key {section}.{key}; expected {list(_KEYS[section])}")
     return cfg
-
-
-def _require(cfg: dict, dotted: str):
-    node = cfg
-    walked = []
-    for part in dotted.split("."):
-        walked.append(part)
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"missing field: {'.'.join(walked)}")
-        node = node[part]
-    return node
-
-
-def _get(cfg: dict, dotted: str, default):
-    node = cfg
-    for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return default
-        node = node[part]
-    return node
 
 
 def _env_seed() -> int | None:
@@ -80,97 +86,94 @@ def _env_seed() -> int | None:
         raise ConfigError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
 
 
-def _task_from_config(cfg: dict) -> SyntheticTask:
-    kind = _require(cfg, "task.kind")
+@contextmanager
+def _errors(section: str):
+    """Report a malformed value of a config section as a ConfigError."""
     try:
-        return SyntheticTask(
-            kind=kind,
-            n_train=int(_get(cfg, "task.n_train", 2000)),
-            n_dev=int(_get(cfg, "task.n_dev", 500)),
-            n_test=int(_get(cfg, "task.n_test", 500)),
-            dim=int(_get(cfg, "task.dim", 2)),
-            classes=int(_get(cfg, "task.classes", 2)),
-            noise=float(_get(cfg, "task.noise", 0.1)),
-            seed=int(_get(cfg, "task.seed", 0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad task section: {exc}") from None
+        yield
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad {section} section: {exc}") from None
 
 
-def _optim_from_config(cfg: dict) -> OptimConfig:
-    try:
-        return OptimConfig(
-            iterations=int(_get(cfg, "optim.iterations", 1000)),
-            lr=float(_get(cfg, "optim.lr", 0.01)),
-            l1_pos=float(_get(cfg, "optim.l1_pos", 0.1)),
-            l1_neg=float(_get(cfg, "optim.l1_neg", 0.1)),
-            tol=float(_get(cfg, "optim.tol", 1e-6)),
-            window=int(_get(cfg, "optim.window", 10)),
-            seed=int(_get(cfg, "optim.seed", 0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad optim section: {exc}") from None
+def _settings(cfg: dict, section: str) -> dict:
+    """The keys a library section sets, each coerced to its parameter's annotation."""
+    params = _PARAMS[section]
+    with _errors(section):
+        return {key: params[key].annotation(value) for key, value in cfg.get(section, {}).items()}
 
 
-def _fractions_from_config(cfg: dict) -> list[float]:
-    raw = _require(cfg, "prune.fractions")
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("prune.fractions must be a non-empty list")
-    fractions = [float(p) for p in raw]
-    if any(not 0.0 <= p <= 1.0 for p in fractions):
-        raise ConfigError("prune.fractions must lie in [0, 1]")
-    return fractions
+def _read(cfg: dict, section: str, fn, *args, **fixed):
+    """fn(*args, **keys) with the keys of a library section; `fixed` overrides them.
+
+    Omitted keys take fn's own defaults.  A malformed value, or fn's own
+    argument check failing, becomes a ConfigError that names the section.
+    """
+    keys = {**_settings(cfg, section), **fixed}
+    for name, param in _PARAMS[section].items():
+        if param.default is param.empty and name not in keys:
+            raise ConfigError(f"missing field: {section}.{name}")
+    with _errors(section):
+        return fn(*args, **keys)
 
 
-def _scopes_from_config(cfg: dict) -> list[PruneScope]:
-    raw = _get(cfg, "prune.scopes", ["CU"])
-    try:
-        return [PruneScope.from_token(str(s)) for s in raw]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def _seed(cfg: dict, section: str, env: int | None) -> int:
+    """The seed a library section runs with: the override, its own key, or the default."""
+    if env is not None:
+        return env
+    return _settings(cfg, section).get("seed", _PARAMS[section]["seed"].default)
 
 
-def _methods_from_config(cfg: dict, allowed: tuple[str, ...]) -> list[str]:
-    raw = _get(cfg, "prune.methods", list(allowed))
-    for m in raw:
-        if m not in allowed:
-            raise ConfigError(f"unknown method {m!r}; expected subset of {list(allowed)}")
-    return list(raw)
+def _list(cfg: dict, section: str, key: str, parse, default: list | None = None) -> list:
+    """A non-empty JSON list, each item passed through parse; required without a default."""
+    keys = cfg.get(section, {})
+    if key not in keys and default is None:
+        raise ConfigError(f"missing field: {section}.{key}")
+    raw = keys.get(key, default)
+    with _errors(section):
+        if not isinstance(raw, list) or not raw:
+            raise ValueError(f"{key} must be a non-empty JSON list, got {raw!r}")
+        return [parse(item) for item in raw]
+
+
+def _fraction(value) -> float:
+    p = float(value)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"fractions must lie in [0, 1], got {p!r}")
+    return p
+
+
+def _grid(cfg: dict, allowed: tuple[str, ...]):
+    """The prune section: fractions, scopes (default CU) and methods (default all allowed)."""
+    methods = _list(cfg, "prune", "methods", str, list(allowed))
+    if not set(methods) <= set(allowed):
+        raise ConfigError(f"bad prune section: methods {methods} are not a subset of "
+                          f"{list(allowed)}")
+    return (_list(cfg, "prune", "fractions", _fraction),
+            _list(cfg, "prune", "scopes", lambda s: PruneScope.from_token(str(s)), ["CU"]),
+            methods)
 
 
 def _out_dir(cfg: dict) -> Path:
-    return Path(str(_require(cfg, "out.dir")))
+    out = cfg.get("out", {})
+    if "dir" not in out:
+        raise ConfigError("missing field: out.dir")
+    if not isinstance(out["dir"], str):
+        raise ConfigError(f"bad out section: dir must be a string, got {out['dir']!r}")
+    return Path(out["dir"])
 
 
 def _train_model(cfg: dict, task: SyntheticTask, model_seed: int, train_seed: int):
     data = generate_task(task)
-    model = init_model(
-        in_dim=task.dim,
-        features=int(_get(cfg, "model.features", 16)),
-        bottleneck=int(_get(cfg, "model.bottleneck", 4)),
-        classes=task.classes,
-        seed=model_seed,
-    )
-    result = train(
-        model, data,
-        steps=int(_get(cfg, "train.steps", 2000)),
-        lr=float(_get(cfg, "train.lr", 0.05)),
-        batch=int(_get(cfg, "train.batch", 32)),
-        seed=train_seed,
-    )
-    return data, result
+    model = _read(cfg, "model", init_model, in_dim=task.dim, classes=task.classes,
+                  seed=model_seed)
+    return data, _read(cfg, "train", train, model, data, seed=train_seed)
 
 
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
-    task = _task_from_config(cfg)
     env = _env_seed()
-    model_seed = int(_get(cfg, "model.seed", 0))
-    train_seed = int(_get(cfg, "train.seed", 0))
-    if env is not None:
-        task = replace(task, seed=env)
-        model_seed = env
-        train_seed = env
+    task = _read(cfg, "task", SyntheticTask, seed=_seed(cfg, "task", env))
+    model_seed, train_seed = _seed(cfg, "model", env), _seed(cfg, "train", env)
     out = _out_dir(cfg)
     _, result = _train_model(cfg, task, model_seed, train_seed)
     meta = {"task": task.kind, "task_seed": task.seed,
@@ -185,26 +188,21 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _check_bundle_dims(cfg: dict, bundle: WeightBundle) -> None:
-    features = _get(cfg, "model.features", None)
-    bottleneck = _get(cfg, "model.bottleneck", None)
-    if features is not None and int(features) != bundle.model.features:
-        raise DataError(f"bundle has {bundle.model.features} features, "
-                        f"config says {features}")
-    if bottleneck is not None and int(bottleneck) != bundle.model.adapter.bottleneck:
-        raise DataError(f"bundle has bottleneck {bundle.model.adapter.bottleneck}, "
-                        f"config says {bottleneck}")
+def _check_bundle_dims(dims: dict, bundle: WeightBundle) -> None:
+    for key, have in (("features", bundle.model.features),
+                      ("bottleneck", bundle.model.adapter.bottleneck)):
+        if key in dims and dims[key] != have:
+            raise DataError(f"bundle has {key} {have}, config says {dims[key]}")
 
 
 def cmd_prune(args) -> int:
     cfg = _load_config(args.config)
-    bundle = load_bundle(args.bundle)
-    _check_bundle_dims(cfg, bundle)
-    optim = _optim_from_config(cfg)
-    fractions = _fractions_from_config(cfg)
-    scopes = _scopes_from_config(cfg)
-    methods = _methods_from_config(cfg, ("standard", "tropical"))
+    dims = _settings(cfg, "model")
+    optim = _read(cfg, "optim", OptimConfig)
+    fractions, scopes, methods = _grid(cfg, ("standard", "tropical"))
     out = _out_dir(cfg)
+    bundle = load_bundle(args.bundle)
+    _check_bundle_dims(dims, bundle)
     model = bundle.model
     originals = [model.adapter]
     optimized = [run(layer, optim) for layer in originals]
@@ -238,13 +236,11 @@ def cmd_prune(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    task = _task_from_config(cfg)
-    optim = _optim_from_config(cfg)
-    fractions = _fractions_from_config(cfg)
-    scopes = _scopes_from_config(cfg)
-    methods = _methods_from_config(cfg, METHODS)
+    task = _read(cfg, "task", SyntheticTask)
+    optim = _read(cfg, "optim", OptimConfig)
+    fractions, scopes, methods = _grid(cfg, METHODS)
+    seeds = _list(cfg, "sweep", "seeds", int, [task.seed])
     env = _env_seed()
-    seeds = [int(s) for s in _get(cfg, "sweep.seeds", [task.seed])]
     if env is not None:
         seeds = [env]
     buf = io.StringIO()
@@ -255,7 +251,7 @@ def cmd_sweep(args) -> int:
         data, result = _train_model(cfg, run_task, model_seed=seed + 1,
                                     train_seed=seed + 2)
         records = sweep(result.model, run_task, fractions, scopes, methods,
-                        optim, seed=seed, data=data)
+                        optim, data=data)
         for rec in records:
             if not all(math.isfinite(v) for v in (rec.dev_metric, rec.test_metric)):
                 raise NumericError(f"non-finite metric in cell {rec}")

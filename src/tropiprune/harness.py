@@ -46,7 +46,7 @@ class SyntheticTask:
             raise ValueError("classes must be at least 2")
         if self.kind in ("moons", "xor_grid") and self.classes != 2:
             raise ValueError(f"{self.kind} is a binary task")
-        if self.noise < 0:
+        if not self.noise >= 0:  # NaN fails it too
             raise ValueError("noise must be >= 0")
 
 
@@ -177,7 +177,7 @@ def train(model: TinyModel, data: TaskData, steps: int = 2000, lr: float = 0.05,
     Deterministic for a given seed; the featurizer is never touched.
     Returns the trained model together with the per-step batch losses.
     """
-    if steps < 0 or lr <= 0 or batch <= 0:
+    if steps < 0 or not lr > 0 or batch <= 0:
         raise ValueError("steps must be >= 0 and lr, batch positive")
     rng = np.random.default_rng(seed)
     down = model.adapter.down.copy()
@@ -274,8 +274,8 @@ def _with_adapter(model: TinyModel, adapter: AdapterLayer) -> TinyModel:
 
 def sweep(model: TinyModel, task: SyntheticTask, fractions: Sequence[float],
           scopes: Sequence[PruneScope], methods: Sequence[str],
-          optim: OptimConfig, seed: int | None = None,
-          metric: str = "accuracy", data: TaskData | None = None) -> list[SweepRecord]:
+          optim: OptimConfig, metric: str = "accuracy",
+          data: TaskData | None = None) -> list[SweepRecord]:
     """Prune the trained model over the full grid and score every cell.
 
     The surrogate fit is deterministic and independent of the grid cell, so
@@ -288,7 +288,6 @@ def sweep(model: TinyModel, task: SyntheticTask, fractions: Sequence[float],
             raise ValueError(f"unknown method {m!r}; expected subset of {METHODS}")
     if data is None:
         data = generate_task(task)
-    stamp = task.seed if seed is None else seed
     originals = [model.adapter]
     optimized = [run(layer, optim) for layer in originals]
 
@@ -306,5 +305,5 @@ def sweep(model: TinyModel, task: SyntheticTask, fractions: Sequence[float],
             if method in methods:
                 dev, test, achieved = cells[method]
                 records.append(SweepRecord(task.kind, method, scope.value,
-                                           float(p), achieved, dev, test, stamp))
+                                           float(p), achieved, dev, test, task.seed))
     return records

@@ -38,8 +38,7 @@ class OptimConfig:
     """Hyperparameters for the descent loop.
 
     tol is a relative-change threshold on the combined loss measured across
-    `window` iterations; tol=0 disables early stopping.  The seed is carried
-    for provenance only, the loop itself draws no randomness.
+    `window` iterations; tol=0 disables early stopping.
     """
 
     iterations: int = 1000
@@ -48,16 +47,15 @@ class OptimConfig:
     l1_neg: float = 0.1
     tol: float = 1e-6
     window: int = 10
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-        if self.lr <= 0:
+        if not self.lr > 0:  # written so that NaN fails the checks too
             raise ValueError("lr must be positive")
-        if self.l1_pos < 0 or self.l1_neg < 0:
+        if not (self.l1_pos >= 0 and self.l1_neg >= 0):
             raise ValueError("sparsity weights must be >= 0")
-        if self.tol < 0:
+        if not self.tol >= 0:
             raise ValueError("tol must be >= 0")
         if self.window < 1:
             raise ValueError("window must be >= 1")

@@ -1,12 +1,17 @@
 import csv
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tropiprune import cli, harness
 from tropiprune.bundle import load_bundle
 from tropiprune.cli import main
+from tropiprune.harness import METHODS, SyntheticTask, init_model
+from tropiprune.optimizer import OptimConfig
 
 BASE_CONFIG = {
     "task": {"kind": "blobs", "n_train": 400, "n_dev": 120, "n_test": 120,
@@ -78,6 +83,104 @@ def test_seed_env_override(tmp_path, monkeypatch):
     # the env seed wins over both configs, so outputs agree
     assert (tmp_path / "a" / "bundle.json").read_bytes() == \
         (tmp_path / "b" / "bundle.json").read_bytes()
+
+
+# (command, section, key, value): each exits 2 with "config error:" and the
+# section's name.  key None replaces the whole section.  Each raised out of
+# main, exited 0, or named no section before every config key was checked.
+MALFORMED = [
+    ("prune", "optim", "iterations", None),
+    ("train", "task", "n_train", [1]),
+    ("train", "task", "n_train", float("inf")),
+    ("sweep", "task", "noise", float("nan")),
+    ("sweep", "train", "lr", float("nan")),
+    ("prune", "optim", "lr", float("nan")),
+    ("train", "model", "features", "abc"),
+    ("prune", "model", "features", "abc"),
+    ("train", "model", "features", 0),
+    ("train", "model", "seed", "x"),
+    ("train", "train", "steps", -1),
+    ("train", "train", "batch", 0),
+    ("prune", "prune", "fractions", ["x"]),
+    ("prune", "prune", "scopes", 5),
+    ("prune", "prune", "scopes", "CU"),
+    ("prune", "prune", "scopes", []),
+    ("prune", "prune", "methods", 5),
+    ("prune", "prune", "methods", []),
+    ("sweep", "prune", "methods", ["magnitude"]),
+    ("sweep", "sweep", "seeds", ["a"]),
+    ("sweep", "sweep", "seeds", []),
+    ("prune", "optim", "l1pos", 0.5),
+    ("prune", "optim", "seed", 3),
+    ("train", "out", "dir", None),
+    ("sweep", "optm", None, {"iterations": 5}),
+]
+
+
+@pytest.fixture(scope="module")
+def trained_bundle(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("bundle")
+    assert main(["train", "--config", str(write_config(tmp))]) == 0
+    return tmp / "run" / "bundle.json"
+
+
+@pytest.mark.parametrize("command,section,key,value", MALFORMED, ids=[
+    f"{c}-{s}{'' if k is None else '.' + k}={json.dumps(v)}" for c, s, k, v in MALFORMED])
+def test_malformed_config_exits_2(tmp_path, capsys, trained_bundle,
+                                  command, section, key, value):
+    cfg = json.loads(write_config(tmp_path).read_text())
+    if key is None:
+        cfg[section] = value
+    else:
+        cfg.setdefault(section, {})[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    argv = {"train": ["train", "--config", str(path)],
+            "prune": ["prune", "--bundle", str(trained_bundle), "--config", str(path)],
+            "sweep": ["sweep", "--config", str(path), "--out", str(tmp_path / "r.csv")]}
+    assert main(argv[command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and section in err
+    assert not (tmp_path / "run").exists() and not (tmp_path / "r.csv").exists()
+
+
+def test_readme_config_resolves_through_the_readers(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    doc = json.loads(block)
+    path = tmp_path / "readme.json"
+    path.write_text(block)
+    cfg = cli._load_config(str(path))
+    assert list(doc) == list(cli._KEYS)
+    task = cli._read(cfg, "task", SyntheticTask)
+    assert asdict(task) == doc["task"]
+    assert asdict(cli._read(cfg, "optim", OptimConfig)) == doc["optim"]
+    model = cli._read(cfg, "model", init_model, in_dim=task.dim, classes=task.classes)
+    assert (model.features, model.adapter.bottleneck) == \
+        (doc["model"]["features"], doc["model"]["bottleneck"])
+    assert cli._settings(cfg, "model") == doc["model"]
+    assert cli._settings(cfg, "train") == doc["train"]
+    fractions, scopes, methods = cli._grid(cfg, METHODS)
+    assert fractions == doc["prune"]["fractions"]
+    assert [s.value for s in scopes] == doc["prune"]["scopes"]
+    assert methods == doc["prune"]["methods"]
+    assert cli._list(cfg, "sweep", "seeds", int) == doc["sweep"]["seeds"]
+    assert cli._out_dir(cfg) == Path(doc["out"]["dir"])
+
+
+def test_values_are_coerced_for_a_wrapped_callee(tmp_path, monkeypatch):
+    # a wrapper bound to cli.train (as a tracer installs) has no annotations
+    # of its own; the values still arrive coerced to harness.train's
+    seen = {}
+
+    def wrapper(*args, **kwargs):
+        seen.update(kwargs)
+        return harness.train(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train", wrapper)
+    cfg = write_config(tmp_path, {"train.steps": "20", "train.lr": "0.05"})
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert seen["steps"] == 20 and type(seen["lr"]) is float
 
 
 def prune_setup(tmp_path, overrides=None):

@@ -37,6 +37,9 @@ def test_config_validation():
         OptimConfig(tol=-1e-9)
     with pytest.raises(ValueError):
         OptimConfig(window=0)
+    for field in ("lr", "l1_pos", "l1_neg", "tol"):
+        with pytest.raises(ValueError):
+            OptimConfig(**{field: float("nan")})
 
 
 def test_objective_zero_at_perfect_reconstruction():
