@@ -2,8 +2,21 @@
 
 A bundle carries the whole tiny model: manifest (format, version, dims,
 per-layer shapes and flags) plus nested float lists for every tensor.
-Serialization goes through repr-exact JSON floats, so finite 64-bit values
-survive a save/load round trip bit for bit.
+
+Byte format (version 1): exactly the text of `json.dumps(doc, indent=1,
+sort_keys=True)` plus a trailing newline, where every tensor is a nested list
+of float64 values written as `repr(float)`.  Finite 64-bit values therefore
+survive a save/load round trip bit for bit, and the same bundle always
+writes the same bytes.  The writer refuses non-finite values, which JSON
+cannot hold.
+
+The writer renders the manifest with `json.dumps` and each tensor itself,
+joining its number texts into the same `indent=1` layout.  Given `like`, a
+bundle written before, it reuses `like`'s text for every value that is
+bit-identical to the one at the same place in `like` (so -0.0 and 0.0 stay
+apart) and renders only the others.  `like`'s texts are rendered once and
+kept on that bundle, so `prune` renders each value of the original once
+however many pruned bundles it writes.
 """
 
 from __future__ import annotations
@@ -12,6 +25,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +39,39 @@ VERSION = 1
 
 
 @dataclass(frozen=True)
+class _Rendered:
+    """A tensor's float64 values and their JSON text, one `repr` per value."""
+
+    values: np.ndarray
+    numbers: np.ndarray  # object array of str, flat, row-major
+    text: str            # the whole list, laid out as in the file
+
+
+@dataclass(frozen=True)
 class WeightBundle:
     model: TinyModel
     optimized: bool = False
     meta: dict = field(default_factory=dict)
+
+    def _tensors(self) -> dict[str, np.ndarray]:
+        """Every tensor by its name in the file, in sorted-name order."""
+        model = self.model
+        adapter = model.adapter
+        tensors = {
+            "feature_map": model.feature_map,
+            "adapter0.down": adapter.down,
+            "adapter0.up": adapter.up,
+            "head.w": model.head_w,
+            "head.b": model.head_b,
+        }
+        if adapter.up_bias is not None:
+            tensors["adapter0.up_bias"] = adapter.up_bias
+        return dict(sorted(tensors.items()))
+
+    @cached_property
+    def _rendered(self) -> dict[str, _Rendered]:
+        """Each tensor's text, rendered on first use and freed with the bundle."""
+        return {name: _render(name, arr) for name, arr in self._tensors().items()}
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -46,7 +89,42 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         raise
 
 
-def bundle_to_json(bundle: WeightBundle) -> str:
+def _json_list(items: list[str], depth: int) -> str:
+    """`json.dumps(indent=1)`'s layout of a list of rendered items nested `depth` deep."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
+
+
+def _render(name: str, arr: np.ndarray, like: _Rendered | None = None) -> _Rendered:
+    """The text of a 1-D or 2-D tensor inside the bundle's "tensors" object.
+
+    Given `like`, a rendering of a tensor of the same shape, only the values
+    whose bits differ from `like`'s are rendered; an unchanged tensor reuses
+    `like` whole.  A `like` of another shape is ignored.
+    """
+    values = np.ascontiguousarray(arr, dtype=np.float64)
+    flat = values.reshape(-1)
+    if not np.all(np.isfinite(flat)):
+        raise DataError(f"tensor {name!r} contains non-finite values")
+    if like is None or like.values.shape != values.shape:
+        numbers = np.empty(flat.size, dtype=object)
+        changed = slice(None)
+    else:
+        changed = np.flatnonzero(flat.view(np.int64) != like.values.reshape(-1).view(np.int64))
+        if changed.size == 0:
+            return like
+        numbers = like.numbers.copy()
+    numbers[changed] = list(map(float.__repr__, flat[changed].tolist()))
+    rows = numbers.reshape(values.shape).tolist()
+    if values.ndim == 2:
+        rows = [_json_list(row, 3) for row in rows]
+    return _Rendered(values, numbers, _json_list(rows, 2))
+
+
+def bundle_to_json(bundle: WeightBundle, like: WeightBundle | None = None) -> str:
+    """The bundle's file text; `like` only saves work, never changes the text."""
     model = bundle.model
     adapter = model.adapter
     manifest = {
@@ -66,28 +144,45 @@ def bundle_to_json(bundle: WeightBundle) -> str:
         "optimized": bundle.optimized,
         "meta": bundle.meta,
     }
-    tensors = {
-        "feature_map": model.feature_map.tolist(),
-        "adapter0.down": adapter.down.tolist(),
-        "adapter0.up": adapter.up.tolist(),
-        "head.w": model.head_w.tolist(),
-        "head.b": model.head_b.tolist(),
-    }
-    if adapter.up_bias is not None:
-        tensors["adapter0.up_bias"] = adapter.up_bias.tolist()
-    doc = {"format": FORMAT, "version": VERSION, "manifest": manifest, "tensors": tensors}
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    skeleton = json.dumps({"format": FORMAT, "version": VERSION, "manifest": manifest,
+                           "tensors": {}}, indent=1, sort_keys=True)
+    # only a top-level key sits one space in: strings hold no raw newline
+    head, _, tail = skeleton.partition('\n "tensors": {}')
+    kept = like._rendered if like is not None else {}
+    entries = [f"  {json.dumps(name)}: {_render(name, arr, kept.get(name)).text}"
+               for name, arr in bundle._tensors().items()]
+    return head + '\n "tensors": {\n' + ",\n".join(entries) + "\n }" + tail + "\n"
 
 
-def save_bundle(bundle: WeightBundle, path: str | Path) -> None:
-    write_text_atomic(path, bundle_to_json(bundle))
+def save_bundle(bundle: WeightBundle, path: str | Path,
+                like: WeightBundle | None = None) -> None:
+    """Write the bundle atomically; see `bundle_to_json` for `like`."""
+    write_text_atomic(path, bundle_to_json(bundle, like))
 
 
-def _tensor(tensors: dict, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise DataError(f"bundle {what} must be a JSON object, got {value!r:.40}")
+    return value
+
+
+def _shape(value, what: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(type(n) is int for n in value):
+        raise DataError(f"bundle {what} must be a list of integers, got {value!r:.40}")
+    return tuple(value)
+
+
+def _tensor(tensors: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
     if name not in tensors:
         raise DataError(f"bundle is missing tensor {name!r}")
-    arr = np.array(tensors[name], dtype=np.float64)
-    if shape is not None and arr.shape != shape:
+    try:
+        arr = np.array(tensors[name])
+    except ValueError:  # ragged nesting
+        raise DataError(f"tensor {name!r} is not a rectangular array") from None
+    if arr.dtype.kind not in "iuf":
+        raise DataError(f"tensor {name!r} is not an array of numbers")
+    arr = arr.astype(np.float64, copy=False)
+    if arr.shape != shape:
         raise DataError(f"tensor {name!r} has shape {arr.shape}, manifest says {shape}")
     if not np.all(np.isfinite(arr)):
         raise DataError(f"tensor {name!r} contains non-finite values")
@@ -95,36 +190,39 @@ def _tensor(tensors: dict, name: str, shape: tuple[int, ...] | None = None) -> n
 
 
 def load_bundle(path: str | Path) -> WeightBundle:
+    """Read a bundle; a missing, malformed or inconsistent file raises DataError."""
     try:
         doc = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise DataError(f"bundle file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"bundle is not valid JSON: {exc}") from None
+    doc = _object(doc, "file")
     if doc.get("format") != FORMAT:
-        raise DataError(f"unexpected bundle format {doc.get('format')!r}")
+        raise DataError(f"unexpected bundle format {doc.get('format')!r:.40}")
     if doc.get("version") != VERSION:
-        raise DataError(f"unsupported bundle version {doc.get('version')!r}")
-    manifest = doc.get("manifest", {})
-    tensors = doc.get("tensors", {})
-    dims = manifest.get("model", {})
-    layers = manifest.get("layers", [])
-    if len(layers) != 1:
+        raise DataError(f"unsupported bundle version {doc.get('version')!r:.40}")
+    manifest = _object(doc.get("manifest"), "manifest")
+    tensors = _object(doc.get("tensors"), "tensors")
+    dims = _object(manifest.get("model"), "manifest.model")
+    in_dim, features, classes = _shape([dims.get(key) for key in ("in_dim", "features", "classes")],
+                                       "manifest.model in_dim, features and classes")
+    layers = manifest.get("layers")
+    if not isinstance(layers, list) or len(layers) != 1:
         raise DataError("bundle must describe exactly one adapter layer")
-    entry = layers[0]
-    down = _tensor(tensors, "adapter0.down", tuple(entry["down_shape"]))
-    up = _tensor(tensors, "adapter0.up", tuple(entry["up_shape"]))
+    entry = _object(layers[0], "layer")
+    down = _tensor(tensors, "adapter0.down", _shape(entry.get("down_shape"), "down_shape"))
+    up = _tensor(tensors, "adapter0.up", _shape(entry.get("up_shape"), "up_shape"))
     up_bias = None
     if entry.get("has_up_bias"):
         up_bias = _tensor(tensors, "adapter0.up_bias", (up.shape[0],))
-    feature_map = _tensor(tensors, "feature_map",
-                          (dims["features"], dims["in_dim"]))
-    head_w = _tensor(tensors, "head.w", (dims["classes"], dims["features"]))
-    head_b = _tensor(tensors, "head.b", (dims["classes"],))
+    feature_map = _tensor(tensors, "feature_map", (features, in_dim))
+    head_w = _tensor(tensors, "head.w", (classes, features))
+    head_b = _tensor(tensors, "head.b", (classes,))
     try:
         adapter = AdapterLayer(down, up, up_bias)
     except ValueError as exc:
         raise DataError(str(exc)) from None
     model = TinyModel(feature_map, adapter, head_w, head_b)
     return WeightBundle(model, bool(manifest.get("optimized", False)),
-                        dict(manifest.get("meta", {})))
+                        dict(_object(manifest.get("meta", {}), "manifest.meta")))

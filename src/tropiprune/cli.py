@@ -95,11 +95,22 @@ def _errors(section: str):
         raise ConfigError(f"bad {section} section: {exc}") from None
 
 
+def _int(value) -> int:
+    """A whole number: an int, an integral float or a numeral string, never a bool."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(value)
+
+
+_COERCE = {int: _int, float: float, str: str}
+
+
 def _settings(cfg: dict, section: str) -> dict:
     """The keys a library section sets, each coerced to its parameter's annotation."""
     params = _PARAMS[section]
     with _errors(section):
-        return {key: params[key].annotation(value) for key, value in cfg.get(section, {}).items()}
+        return {key: _COERCE[params[key].annotation](value)
+                for key, value in cfg.get(section, {}).items()}
 
 
 def _read(cfg: dict, section: str, fn, *args, **fixed):
@@ -162,7 +173,18 @@ def _out_dir(cfg: dict) -> Path:
     return Path(out["dir"])
 
 
+def _disagreement(dims: dict, actual: dict) -> str | None:
+    """'<key> <actual>, config says <value>' for the first model key set otherwise."""
+    for key, have in actual.items():
+        if key in dims and dims[key] != have:
+            return f"{key} {have}, config says {dims[key]}"
+    return None
+
+
 def _train_model(cfg: dict, task: SyntheticTask, model_seed: int, train_seed: int):
+    clash = _disagreement(_settings(cfg, "model"), {"in_dim": task.dim, "classes": task.classes})
+    if clash:
+        raise ConfigError(f"bad model section: the task has {clash}")
     data = generate_task(task)
     model = _read(cfg, "model", init_model, in_dim=task.dim, classes=task.classes,
                   seed=model_seed)
@@ -189,10 +211,12 @@ def cmd_train(args) -> int:
 
 
 def _check_bundle_dims(dims: dict, bundle: WeightBundle) -> None:
-    for key, have in (("features", bundle.model.features),
-                      ("bottleneck", bundle.model.adapter.bottleneck)):
-        if key in dims and dims[key] != have:
-            raise DataError(f"bundle has {key} {have}, config says {dims[key]}")
+    model = bundle.model
+    clash = _disagreement(dims, {"in_dim": model.in_dim, "features": model.features,
+                                 "bottleneck": model.adapter.bottleneck,
+                                 "classes": model.classes})
+    if clash:
+        raise DataError(f"bundle has {clash}")
 
 
 def cmd_prune(args) -> int:
@@ -213,8 +237,10 @@ def cmd_prune(args) -> int:
                           json.dumps(trace_doc) + "\n")
     opt_model = replace(model, adapter=replace(model.adapter, down=optimized[0].down,
                                                up=optimized[0].up))
+    # like=bundle: every value a written bundle shares with the original
+    # reuses the original's text, rendered once for the whole grid
     save_bundle(WeightBundle(opt_model, optimized=True, meta=bundle.meta),
-                out / "optimized.json")
+                out / "optimized.json", like=bundle)
     report = {"total_params": sum(l.param_count for l in originals), "cells": []}
     for p, scope, masks in prune_grid(originals, optimized, fractions, scopes):
         for method in methods:
@@ -222,7 +248,8 @@ def cmd_prune(args) -> int:
             pruned = apply_mask(originals, mask)
             pruned_model = replace(model, adapter=pruned[0])
             name = f"pruned_{method}_{scope.value}_p{round(p * 100):03d}.json"
-            save_bundle(WeightBundle(pruned_model, meta=bundle.meta), out / name)
+            save_bundle(WeightBundle(pruned_model, meta=bundle.meta), out / name,
+                        like=bundle)
             report["cells"].append({
                 "method": method, "scope": scope.value, "p": p,
                 "p_hat": achieved, "pruned": mask.count(),
@@ -239,7 +266,7 @@ def cmd_sweep(args) -> int:
     task = _read(cfg, "task", SyntheticTask)
     optim = _read(cfg, "optim", OptimConfig)
     fractions, scopes, methods = _grid(cfg, METHODS)
-    seeds = _list(cfg, "sweep", "seeds", int, [task.seed])
+    seeds = _list(cfg, "sweep", "seeds", _int, [task.seed])
     env = _env_seed()
     if env is not None:
         seeds = [env]

@@ -16,6 +16,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .adapter import AdapterLayer, forward, merge_bias
+from .errors import NumericError
 from .optimizer import OptimConfig, run
 from .strategies import (PruneScope, apply_mask, combined_select, standard_mask,
                          tropical_mask)
@@ -176,6 +177,11 @@ def train(model: TinyModel, data: TaskData, steps: int = 2000, lr: float = 0.05,
 
     Deterministic for a given seed; the featurizer is never touched.
     Returns the trained model together with the per-step batch losses.
+
+    Raises:
+        NumericError: at the first step whose loss is not finite, or when the
+            last step leaves a non-finite weight, with numpy's overflow and
+            invalid-value warnings silenced.
     """
     if steps < 0 or not lr > 0 or batch <= 0:
         raise ValueError("steps must be >= 0 and lr, batch positive")
@@ -188,30 +194,37 @@ def train(model: TinyModel, data: TaskData, steps: int = 2000, lr: float = 0.05,
     y_all = data.y_train
     n = h_all.shape[0]
     losses: list[float] = []
-    for _ in range(steps):
-        idx = rng.integers(0, n, size=batch)
-        h = h_all[idx]
-        y = y_all[idx]
-        aug = np.hstack([h, np.ones((batch, 1))])
-        pre = aug @ down.T
-        hidden = np.maximum(pre, 0.0)
-        adapted = h + hidden @ up.T
-        z = adapted @ head_w.T + head_b
-        probs, loss = _softmax_xent(z, y)
-        losses.append(loss)
-        dz = probs.copy()
-        dz[np.arange(batch), y] -= 1.0
-        dz /= batch
-        d_head_w = dz.T @ adapted
-        d_head_b = dz.sum(axis=0)
-        d_adapted = dz @ head_w
-        d_up = d_adapted.T @ hidden
-        d_hidden = (d_adapted @ up) * (pre > 0.0)
-        d_down = d_hidden.T @ aug
-        down -= lr * d_down
-        up -= lr * d_up
-        head_w -= lr * d_head_w
-        head_b -= lr * d_head_b
+    # a diverging run overflows before its loss turns non-finite; the
+    # NumericError below reports it, so numpy's own warnings stay quiet
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps):
+            idx = rng.integers(0, n, size=batch)
+            h = h_all[idx]
+            y = y_all[idx]
+            aug = np.hstack([h, np.ones((batch, 1))])
+            pre = aug @ down.T
+            hidden = np.maximum(pre, 0.0)
+            adapted = h + hidden @ up.T
+            z = adapted @ head_w.T + head_b
+            probs, loss = _softmax_xent(z, y)
+            if not math.isfinite(loss):
+                raise NumericError(f"training diverged at step {step}: {loss!r}")
+            losses.append(loss)
+            dz = probs.copy()
+            dz[np.arange(batch), y] -= 1.0
+            dz /= batch
+            d_head_w = dz.T @ adapted
+            d_head_b = dz.sum(axis=0)
+            d_adapted = dz @ head_w
+            d_up = d_adapted.T @ hidden
+            d_hidden = (d_adapted @ up) * (pre > 0.0)
+            d_down = d_hidden.T @ aug
+            down -= lr * d_down
+            up -= lr * d_up
+            head_w -= lr * d_head_w
+            head_b -= lr * d_head_b
+    if not all(np.all(np.isfinite(w)) for w in (down, up, head_w, head_b)):
+        raise NumericError(f"training diverged: non-finite weights after {steps} steps")
     trained = TinyModel(model.feature_map, AdapterLayer(down, up), head_w, head_b)
     return TrainResult(trained, tuple(losses))
 

@@ -7,6 +7,7 @@ second, unrelated route.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -168,3 +169,42 @@ def brute_smallest(layers, fraction, scope):
         take = int(math.floor(fraction * len(members) + 1e-9))
         picked.update(m[1:] for m in members[:take])
     return picked
+
+
+def bundle_json(bundle):
+    """A weight bundle's file text through `json.dumps`, the format's definition.
+
+    This is the writer the package used before it rendered its floats
+    itself; the package's writer must produce these bytes exactly.
+    """
+    model = bundle.model
+    adapter = model.adapter
+    manifest = {
+        "model": {
+            "in_dim": model.in_dim,
+            "features": model.features,
+            "bottleneck": adapter.bottleneck,
+            "classes": model.classes,
+        },
+        "layers": [{
+            "name": "adapter0",
+            "bias_merged": True,
+            "has_up_bias": adapter.up_bias is not None,
+            "down_shape": list(adapter.down.shape),
+            "up_shape": list(adapter.up.shape),
+        }],
+        "optimized": bundle.optimized,
+        "meta": bundle.meta,
+    }
+    tensors = {
+        "feature_map": model.feature_map.tolist(),
+        "adapter0.down": adapter.down.tolist(),
+        "adapter0.up": adapter.up.tolist(),
+        "head.w": model.head_w.tolist(),
+        "head.b": model.head_b.tolist(),
+    }
+    if adapter.up_bias is not None:
+        tensors["adapter0.up_bias"] = adapter.up_bias.tolist()
+    doc = {"format": "tropiprune-bundle", "version": 1, "manifest": manifest,
+           "tensors": tensors}
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"

@@ -3,7 +3,10 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import bundle_json
 from tropiprune import AdapterLayer, convex_hull_2d
 from tropiprune.bundle import (WeightBundle, bundle_to_json, load_bundle,
                                save_bundle)
@@ -77,6 +80,98 @@ def test_bundle_rejects_missing_and_mismatched_tensors(tmp_path):
 
     with pytest.raises(DataError):
         load_bundle(tmp_path / "nope.json")
+
+
+# signed zeros, subnormals, and the exponents where repr switches notation
+SPECIAL = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, -1e16, 1e-7,
+           9.999999999999999e15, 1e-05, 0.1, -1.5, 1.7976931348623157e308]
+values = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
+metas = st.dictionaries(
+    st.one_of(st.text(max_size=6), st.sampled_from(["tensors", '\n "tensors": {}'])),
+    st.one_of(st.text(max_size=6), st.integers(), values), max_size=3)
+
+
+def _matrix(draw, rows, cols):
+    return np.array(draw(st.lists(values, min_size=rows * cols, max_size=rows * cols)),
+                    dtype=np.float64).reshape(rows, cols)
+
+
+@st.composite
+def bundles(draw):
+    in_dim, features, bottleneck, classes = (draw(st.integers(1, 3)) for _ in range(4))
+    up_bias = _matrix(draw, 1, features)[0] if draw(st.booleans()) else None
+    adapter = AdapterLayer(_matrix(draw, bottleneck, features + 1),
+                           _matrix(draw, features, bottleneck), up_bias)
+    model = TinyModel(_matrix(draw, features, in_dim), adapter,
+                      _matrix(draw, classes, features), _matrix(draw, 1, classes)[0])
+    return WeightBundle(model, draw(st.booleans()), draw(metas))
+
+
+def _edited(draw, arr):
+    """arr with some entries redrawn or their sign flipped (0.0 <-> -0.0 among them)."""
+    out = np.array(arr, dtype=np.float64)
+    flat = out.reshape(-1)
+    for i in draw(st.lists(st.integers(0, flat.size - 1), max_size=flat.size)):
+        flat[i] = draw(st.one_of(values, st.just(-flat[i])))
+    return out
+
+
+@st.composite
+def edited_copies(draw, bundle):
+    """bundle with some entries changed, and maybe an up_bias added or dropped."""
+    model = bundle.model
+    adapter = model.adapter
+    bias = adapter.up_bias
+    if draw(st.booleans()):
+        bias = _matrix(draw, 1, adapter.width)[0] if bias is None else None
+    edited = AdapterLayer(_edited(draw, adapter.down), _edited(draw, adapter.up),
+                          None if bias is None else _edited(draw, bias))
+    return WeightBundle(TinyModel(_edited(draw, model.feature_map), edited,
+                                  _edited(draw, model.head_w), _edited(draw, model.head_b)),
+                        draw(st.booleans()), draw(metas))
+
+
+@st.composite
+def writes(draw):
+    """(like, bundles written against it): like is absent, or unrelated, or the
+    bundles are edited copies of it, as `prune` writes them."""
+    like = draw(st.one_of(st.none(), bundles()))
+    if like is None or draw(st.booleans()):
+        return like, [draw(bundles()), draw(bundles())]
+    return like, [draw(edited_copies(like)), draw(edited_copies(like))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(writes())
+def test_writer_matches_json_dumps_byte_for_byte(run):
+    like, written = run
+    for bundle in written:
+        assert bundle_to_json(bundle, like) == bundle_json(bundle)
+    if like is not None:  # the texts kept on like still render like itself
+        assert bundle_to_json(like, like) == bundle_json(like)
+
+
+def test_writer_keeps_signed_zeros_apart_from_like():
+    model = sample_model()
+    adapter = model.adapter
+    zeros, negative = (
+        WeightBundle(TinyModel(model.feature_map,
+                               AdapterLayer(np.full_like(adapter.down, zero), adapter.up),
+                               model.head_w, model.head_b))
+        for zero in (0.0, -0.0))
+    text = bundle_to_json(negative, like=zeros)
+    assert text == bundle_json(negative) and "-0.0" in text
+    assert bundle_to_json(zeros, like=negative) == bundle_json(zeros)
+
+
+def test_writer_refuses_non_finite_values():
+    model = sample_model()
+    bad = WeightBundle(TinyModel(model.feature_map, model.adapter, model.head_w,
+                                 np.array([0.0, np.nan])))
+    with pytest.raises(DataError, match="head.b"):
+        bundle_to_json(bad)
+    with pytest.raises(DataError, match="head.b"):
+        bundle_to_json(bad, like=WeightBundle(model))
 
 
 def test_loss_svg_two_point_trace():

@@ -114,6 +114,14 @@ MALFORMED = [
     ("prune", "optim", "seed", 3),
     ("train", "out", "dir", None),
     ("sweep", "optm", None, {"iterations": 5}),
+    ("train", "train", "steps", 0.5),
+    ("train", "task", "n_train", True),
+    ("train", "model", "seed", 1.5),
+    ("sweep", "sweep", "seeds", [0.5]),
+    ("train", "model", "in_dim", 99),
+    ("train", "model", "classes", 7),
+    ("sweep", "model", "in_dim", 99),
+    ("sweep", "model", "classes", 7),
 ]
 
 
@@ -233,13 +241,47 @@ def test_prune_masks_match_library_route(tmp_path):
     assert got["p_hat"] == pytest.approx(p_hat)
 
 
-def test_prune_dim_mismatch_exits_3(tmp_path, capsys):
-    cfg = write_config(tmp_path)
-    assert main(["train", "--config", str(cfg)]) == 0
-    bad_cfg = write_config(tmp_path, {"model.features": 8}, name="bad.json")
-    bundle = tmp_path / "run" / "bundle.json"
-    assert main(["prune", "--bundle", str(bundle), "--config", str(bad_cfg)]) == 3
-    assert "features" in capsys.readouterr().err
+def test_prune_dim_mismatch_exits_3(tmp_path, capsys, trained_bundle):
+    for key, value in (("features", 8), ("in_dim", 99), ("classes", 7)):
+        bad_cfg = write_config(tmp_path, {f"model.{key}": value}, name="bad.json")
+        assert main(["prune", "--bundle", str(trained_bundle), "--config", str(bad_cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and key in err
+
+
+def test_matching_model_dims_pass(tmp_path):
+    # the task's dim and classes, given again as model keys, are accepted
+    prune_setup(tmp_path, {"model.in_dim": 8, "model.classes": 3})
+
+
+# (case, edit of a trained bundle's document): each exits 3 with "data error:"
+MALFORMED_BUNDLES = [
+    ("no-manifest-model", lambda doc: doc["manifest"].pop("model")),
+    ("no-features", lambda doc: doc["manifest"]["model"].pop("features")),
+    ("no-down-shape", lambda doc: doc["manifest"]["layers"][0].pop("down_shape")),
+    ("layers-5", lambda doc: doc["manifest"].update(layers=5)),
+    ("string-tensor", lambda doc: doc["tensors"]["adapter0.up"][0].__setitem__(0, "x")),
+    ("ragged-tensor", lambda doc: doc["tensors"]["adapter0.down"][0].pop()),
+    ("meta-list", lambda doc: doc["manifest"].update(meta=[1])),
+]
+
+
+@pytest.mark.parametrize("edit", [e for _, e in MALFORMED_BUNDLES] + ["list", "latin-1"],
+                         ids=[c for c, _ in MALFORMED_BUNDLES] + ["top-level-list", "not-utf8"])
+def test_malformed_bundle_exits_3(tmp_path, capsys, trained_bundle, edit):
+    text = trained_bundle.read_text()
+    bad = tmp_path / "bad.json"
+    if edit == "list":
+        bad.write_text("[" + text + "]")
+    elif edit == "latin-1":
+        bad.write_bytes(text.replace('"blobs"', '"blöbs"').encode("latin-1"))
+    else:
+        doc = json.loads(text)
+        edit(doc)
+        bad.write_text(json.dumps(doc))
+    assert main(["prune", "--bundle", str(bad), "--config", str(write_config(tmp_path))]) == 3
+    assert capsys.readouterr().err.startswith("data error:")
+    assert not (tmp_path / "run").exists()
 
 
 def test_prune_missing_bundle_exits_3(tmp_path, capsys):
@@ -265,6 +307,17 @@ def test_sweep_divergence_exits_4(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg), "--out", str(out_csv)]) == 4
     assert "diverged" in capsys.readouterr().err
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_training_divergence_exits_4(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, {"train.lr": 1e300})
+    out_csv = tmp_path / "results.csv"
+    argv = {"train": ["train", "--config", str(cfg)],
+            "sweep": ["sweep", "--config", str(cfg), "--out", str(out_csv)]}[command]
+    assert main(argv) == 4
+    assert capsys.readouterr().err.startswith("numeric failure: training diverged at step")
+    assert not (tmp_path / "run").exists() and not out_csv.exists()
 
 
 def test_sweep_csv_contract(tmp_path):
