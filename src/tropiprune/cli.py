@@ -28,12 +28,10 @@ from .bundle import WeightBundle, load_bundle, save_bundle, write_text_atomic
 from .errors import ConfigError, DataError, NumericError
 from .geometry import project_generators, zonotope_vertices
 from .adapter import node_generators
-from .harness import (METHODS, SyntheticTask, generate_task, init_model, prune_grid,
-                      sweep, train)
+from .harness import METHODS, SyntheticTask, generate_task, init_model, sweep, train
 from .optimizer import OptimConfig, run
-from .strategies import PruneScope, apply_mask
-# Not called here since prune_grid builds the masks; bench/tracing.py still
-# looks both names up on this module when it installs its spans.
+from .strategies import PruneScope, apply_mask, prune_grid
+# Not called here; bench/tracing.py looks both names up on this module.
 from .strategies import standard_mask, tropical_mask  # noqa: F401
 from .svgplot import loss_curve_svg, zonotope_overlay_svg
 
@@ -59,6 +57,8 @@ def _load_config(path: str) -> dict:
         text = Path(path).read_text()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except (IsADirectoryError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -219,11 +219,26 @@ def _check_bundle_dims(dims: dict, bundle: WeightBundle) -> None:
         raise DataError(f"bundle has {clash}")
 
 
+def _fraction_tag(p: float) -> str:
+    return f"p{round(p * 100):03d}"
+
+
+def _distinct_tags(key: str, entries: list, tags: list[str]) -> None:
+    """Two prune entries with one file-name tag would overwrite each other's bundles."""
+    for j, tag in enumerate(tags):
+        if tag in tags[:j]:
+            raise ConfigError(f"bad prune section: {key} {entries[tags.index(tag)]!r} and "
+                              f"{entries[j]!r} would write the same bundle files ({tag})")
+
+
 def cmd_prune(args) -> int:
     cfg = _load_config(args.config)
     dims = _settings(cfg, "model")
     optim = _read(cfg, "optim", OptimConfig)
     fractions, scopes, methods = _grid(cfg, ("standard", "tropical"))
+    _distinct_tags("fractions", fractions, [_fraction_tag(p) for p in fractions])
+    _distinct_tags("scopes", cfg.get("prune", {}).get("scopes", ["CU"]),
+                   [s.value for s in scopes])
     out = _out_dir(cfg)
     bundle = load_bundle(args.bundle)
     _check_bundle_dims(dims, bundle)
@@ -245,9 +260,8 @@ def cmd_prune(args) -> int:
     for p, scope, masks in prune_grid(originals, optimized, fractions, scopes):
         for method in methods:
             mask, achieved = masks[method]
-            pruned = apply_mask(originals, mask)
-            pruned_model = replace(model, adapter=pruned[0])
-            name = f"pruned_{method}_{scope.value}_p{round(p * 100):03d}.json"
+            pruned_model = replace(model, adapter=apply_mask(originals, mask)[0])
+            name = f"pruned_{method}_{scope.value}_{_fraction_tag(p)}.json"
             save_bundle(WeightBundle(pruned_model, meta=bundle.meta), out / name,
                         like=bundle)
             report["cells"].append({
@@ -295,7 +309,7 @@ def cmd_plot_loss(args) -> int:
         doc = json.loads(Path(args.trace).read_text())
     except FileNotFoundError:
         raise DataError(f"trace file not found: {args.trace}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"trace file is not valid JSON: {exc}") from None
     trace = doc.get("trace") if isinstance(doc, dict) else doc
     if not isinstance(trace, list) or not trace:

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .adapter import AdapterLayer, forward, merge_bias
 from .errors import NumericError
 from .optimizer import OptimConfig, run
-from .strategies import (PruneScope, apply_mask, combined_select, standard_mask,
-                         tropical_mask)
+from .strategies import PruneScope, apply_mask, combined_select, prune_grid
+# Not called here; bench/tracing.py looks both names up on this module.
+from .strategies import standard_mask, tropical_mask  # noqa: F401
 
 TASK_KINDS = ("blobs", "moons", "xor_grid")
 METHODS = ("standard", "tropical", "combined")
@@ -244,29 +245,17 @@ def evaluate(model: TinyModel, x: np.ndarray, y: np.ndarray,
              metric: str = "accuracy") -> float:
     if len(y) == 0:
         raise ValueError("cannot evaluate an empty split")
-    preds = np.argmax(logits(model, x), axis=1)
+    # huge but finite weights overflow here; the NumericError reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = logits(model, x)
+    if not np.all(np.isfinite(z)):
+        raise NumericError("evaluation produced non-finite logits")
+    preds = np.argmax(z, axis=1)
     if metric == "accuracy":
         return float(np.mean(preds == y))
     if metric == "macro_f1":
         return _macro_f1(np.asarray(y), preds, model.classes)
     raise ValueError(f"unknown metric {metric!r}")
-
-
-def prune_grid(originals: Sequence[AdapterLayer], optimized: Sequence,
-               fractions: Sequence[float], scopes: Sequence[PruneScope]
-               ) -> Iterator[tuple[float, PruneScope, dict]]:
-    """Both methods' masks for every cell, in (fraction, scope) order.
-
-    Yields (p, scope, {"tropical": (mask, p_hat), "standard": (mask, achieved)}).
-    The standard mask is ranked at the tropical mask's achieved fraction
-    p_hat, so the two methods prune about as many parameters.
-    """
-    for p in fractions:
-        for scope in scopes:
-            trop_mask, p_hat = tropical_mask(originals, optimized, p, scope)
-            std_mask = standard_mask(originals, p_hat, scope)
-            yield p, scope, {"tropical": (trop_mask, p_hat),
-                             "standard": (std_mask, std_mask.fraction())}
 
 
 @dataclass(frozen=True)
@@ -279,10 +268,6 @@ class SweepRecord:
     dev_metric: float
     test_metric: float
     seed: int
-
-
-def _with_adapter(model: TinyModel, adapter: AdapterLayer) -> TinyModel:
-    return replace(model, adapter=adapter)
 
 
 def sweep(model: TinyModel, task: SyntheticTask, fractions: Sequence[float],
@@ -305,7 +290,7 @@ def sweep(model: TinyModel, task: SyntheticTask, fractions: Sequence[float],
     optimized = [run(layer, optim) for layer in originals]
 
     def scored(mask) -> tuple[float, float]:
-        pruned = _with_adapter(model, apply_mask(originals, mask)[0])
+        pruned = replace(model, adapter=apply_mask(originals, mask)[0])
         return (evaluate(pruned, data.x_dev, data.y_dev, metric),
                 evaluate(pruned, data.x_test, data.y_test, metric))
 

@@ -6,6 +6,11 @@ a hidden node groups its incoming weights plus merged bias and an output node
 groups its up-projection row).  The geometry-aware mask prunes only where the
 original ranking and the optimized surrogate's ranking agree, so its achieved
 fraction never exceeds the requested one.
+
+Every mask is a threshold of rank arrays: an entry's rank is its place in its
+group's stable magnitude order, ties going to the earlier entry in flatten
+order, and the bottom fraction p of n entries is every rank below floor(p*n).
+Ranks do not depend on p, so `prune_grid` ranks once per scope.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,55 +71,44 @@ class PruneMask:
         return found
 
 
-def _frozen(masks: Sequence[tuple[np.ndarray, np.ndarray]]) -> PruneMask:
-    for down_mask, up_mask in masks:
-        down_mask.flags.writeable = False
-        up_mask.flags.writeable = False
-    return PruneMask(tuple(masks))
-
-
 def _take(fraction: float, size: int) -> int:
     # floor of the intended rational product; the epsilon undoes float dust
     return int(math.floor(fraction * size + 1e-9))
 
 
-def _pooled_smallest(mats: Sequence[np.ndarray], fraction: float) -> list[np.ndarray]:
-    """Masks of the bottom fraction of the matrices' magnitudes, ranked as one group.
+def _ranks(layers: Sequence, scope: PruneScope) -> list[tuple[np.ndarray, int]]:
+    """(ranks, group size) of each matrix, in (down, up) order per layer.
 
-    The stable sort breaks ties by position in the concatenated flatten order.
+    Each group is one row: CB pools every layer into one row, CU each layer,
+    and CN keeps the matrix rows.  `layers` need only .down/.up matrices.
     """
-    mags = np.concatenate([np.abs(m).ravel() for m in mats])
-    flat = np.zeros(mags.size, dtype=bool)
-    flat[np.argsort(mags, kind="stable")[:_take(fraction, mags.size)]] = True
-    pieces = np.split(flat, np.cumsum([m.size for m in mats])[:-1])
-    return [piece.reshape(m.shape) for piece, m in zip(pieces, mats)]
-
-
-def _row_smallest(mat: np.ndarray, fraction: float) -> np.ndarray:
-    """Mask of the bottom fraction of each row's magnitudes, ties to the lower column."""
-    order = np.argsort(np.abs(mat), axis=1, kind="stable")[:, :_take(fraction, mat.shape[1])]
-    mask = np.zeros(mat.shape, dtype=bool)
-    np.put_along_axis(mask, order, True, axis=1)
-    return mask
-
-
-def _smallest(layers: Sequence[AdapterLayer], fraction: float,
-              scope: PruneScope) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-layer (down, up) masks of the bottom fraction within each scope group.
-
-    A group's entries tie-break in flatten order (layer, then down before
-    up, then row-major), so of two equal magnitudes the earlier one goes.
-    """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
     if not layers:
         raise ValueError("no layers to rank")
-    if scope is PruneScope.CLASS_BLIND:
-        flat = _pooled_smallest([m for l in layers for m in (l.down, l.up)], fraction)
-        return list(zip(flat[::2], flat[1::2]))
-    if scope is PruneScope.CLASS_UNIFORM:
-        return [tuple(_pooled_smallest([l.down, l.up], fraction)) for l in layers]
-    return [(_row_smallest(l.down, fraction), _row_smallest(l.up, fraction)) for l in layers]
+    mats = [m for l in layers for m in (l.down, l.up)]
+    if scope is PruneScope.NODE_WISE:
+        groups = [(m, [m]) for m in mats]
+    else:
+        pools = [mats] if scope is PruneScope.CLASS_BLIND else list(zip(mats[::2], mats[1::2]))
+        groups = [(np.concatenate([m.ravel() for m in pool])[None], pool) for pool in pools]
+    ranked = []
+    for rows, members in groups:
+        ranks = np.empty(rows.shape, dtype=np.intp)
+        np.put_along_axis(ranks, np.argsort(np.abs(rows), axis=1, kind="stable"),
+                          np.arange(rows.shape[1]), axis=1)
+        pieces = np.split(ranks.ravel(), np.cumsum([m.size for m in members])[:-1])
+        ranked += [(piece.reshape(m.shape), rows.shape[1]) for piece, m in zip(pieces, members)]
+    return ranked
+
+
+def _mask(fraction: float, *rankings) -> PruneMask:
+    """Read-only mask of the entries in the bottom fraction of every ranking."""
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
+    masks = [np.logical_and.reduce([ranks < _take(fraction, size) for ranks, size in matrix])
+             for matrix in zip(*rankings)]
+    for mask in masks:
+        mask.flags.writeable = False
+    return PruneMask(tuple(zip(masks[::2], masks[1::2])))
 
 
 def select_smallest(layers: Sequence[AdapterLayer], fraction: float,
@@ -133,6 +127,8 @@ def _check_matching(originals: Sequence[AdapterLayer], optimized: Sequence) -> N
     for orig, opt in zip(originals, optimized):
         if orig.down.shape != opt.down.shape or orig.up.shape != opt.up.shape:
             raise ValueError("optimized matrices do not match the original shapes")
+        if not (np.all(np.isfinite(opt.down)) and np.all(np.isfinite(opt.up))):
+            raise ValueError("optimized matrices contain non-finite entries")
 
 
 def tropical_mask(originals: Sequence[AdapterLayer], optimized: Sequence,
@@ -144,17 +140,34 @@ def tropical_mask(originals: Sequence[AdapterLayer], optimized: Sequence,
     at most `fraction`.
     """
     _check_matching(originals, optimized)
-    surrogates = [AdapterLayer(o.down, o.up) for o in optimized]
-    mask = _frozen([(od & sd, ou & su) for (od, ou), (sd, su) in
-                    zip(_smallest(originals, fraction, scope),
-                        _smallest(surrogates, fraction, scope))])
+    mask = _mask(fraction, _ranks(originals, scope), _ranks(optimized, scope))
     return mask, mask.fraction()
 
 
 def standard_mask(layers: Sequence[AdapterLayer], fraction: float,
                   scope: PruneScope) -> PruneMask:
     """Plain smallest-magnitude mask at the given (usually achieved) fraction."""
-    return _frozen(_smallest(layers, fraction, scope))
+    return _mask(fraction, _ranks(layers, scope))
+
+
+def prune_grid(originals: Sequence[AdapterLayer], optimized: Sequence,
+               fractions: Sequence[float], scopes: Sequence[PruneScope]
+               ) -> Iterator[tuple[float, PruneScope, dict]]:
+    """Both methods' masks for every cell, in (fraction, scope) order.
+
+    Yields (p, scope, {"tropical": (mask, p_hat), "standard": (mask, achieved)}).
+    The standard mask is taken at the tropical mask's achieved fraction
+    p_hat, so the two methods prune about as many parameters.
+    """
+    _check_matching(originals, optimized)
+    ranked = [(scope, _ranks(originals, scope), _ranks(optimized, scope)) for scope in scopes]
+    for p in fractions:
+        for scope, ranked_orig, ranked_surr in ranked:
+            trop_mask = _mask(p, ranked_orig, ranked_surr)
+            p_hat = trop_mask.fraction()
+            std_mask = _mask(p_hat, ranked_orig)
+            yield p, scope, {"tropical": (trop_mask, p_hat),
+                             "standard": (std_mask, std_mask.fraction())}
 
 
 def apply_mask(layers: Sequence[AdapterLayer], mask: PruneMask) -> list[AdapterLayer]:

@@ -73,6 +73,19 @@ def test_train_bad_json_exits_2(tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["not-utf8", "directory"])
+def test_unreadable_config_exits_2(tmp_path, capsys, case):
+    path = tmp_path / "bad.json"
+    if case == "not-utf8":
+        text = write_config(tmp_path).read_text()
+        path.write_bytes(text.replace('"blobs"', '"blöbs"').encode("latin-1"))
+    else:
+        path.mkdir()
+    assert main(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "run").exists()
+
+
 def test_seed_env_override(tmp_path, monkeypatch):
     cfg_a = write_config(tmp_path, {"out.dir": str(tmp_path / "a")}, name="a.json")
     cfg_b = write_config(tmp_path, {"out.dir": str(tmp_path / "b"),
@@ -241,6 +254,25 @@ def test_prune_masks_match_library_route(tmp_path):
     assert got["p_hat"] == pytest.approx(p_hat)
 
 
+@pytest.mark.parametrize("key,entries", [("fractions", [0.501, 0.504]),
+                                         ("scopes", ["CU", "cu"])])
+def test_prune_colliding_bundle_names_exit_2(tmp_path, capsys, trained_bundle, key, entries):
+    cfg = write_config(tmp_path, {f"prune.{key}": entries})
+    assert main(["prune", "--bundle", str(trained_bundle), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and all(repr(e) in err for e in entries)
+    assert not (tmp_path / "run").exists()
+
+
+def test_prune_close_distinct_fractions_write_distinct_bundles(tmp_path, trained_bundle):
+    cfg = write_config(tmp_path, {"prune.fractions": [0.494, 0.506]})
+    assert main(["prune", "--bundle", str(trained_bundle), "--config", str(cfg)]) == 0
+    out = tmp_path / "run"
+    names = [c["bundle"] for c in json.loads((out / "report.json").read_text())["cells"]]
+    assert len(set(names)) == len(names) == 4
+    assert all((out / name).exists() for name in names)
+
+
 def test_prune_dim_mismatch_exits_3(tmp_path, capsys, trained_bundle):
     for key, value in (("features", 8), ("in_dim", 99), ("classes", 7)):
         bad_cfg = write_config(tmp_path, {f"model.{key}": value}, name="bad.json")
@@ -320,6 +352,18 @@ def test_training_divergence_exits_4(tmp_path, capsys, command):
     assert not (tmp_path / "run").exists() and not out_csv.exists()
 
 
+def test_sweep_non_finite_logits_exits_4(tmp_path, capsys):
+    # one step at lr 1e308 leaves finite weights whose logits overflow
+    cfg = write_config(tmp_path, {"task.dim": 4, "model.features": 8, "model.bottleneck": 2,
+                                  "train.steps": 1, "train.lr": 1e308,
+                                  "sweep": {"seeds": [0]}})
+    out_csv = tmp_path / "results.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out_csv)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and "non-finite logits" in err
+    assert not out_csv.exists()
+
+
 def test_sweep_csv_contract(tmp_path):
     cfg = write_config(tmp_path, {
         "task.n_train": 300, "train.steps": 200,
@@ -365,6 +409,19 @@ def test_plot_loss_empty_trace_exits_3(tmp_path, capsys):
     assert main(["plot-loss", "--trace", str(bad), "--out",
                  str(tmp_path / "x.svg")]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("case", ["not-utf8", "directory"])
+def test_plot_loss_unreadable_trace_exits_3(tmp_path, capsys, case):
+    path = tmp_path / "trace.json"
+    if case == "not-utf8":
+        path.write_bytes('{"trace": [[0, 1.0]], "note": "ö"}'.encode("latin-1"))
+    else:
+        path.mkdir()
+    svg_path = tmp_path / "x.svg"
+    assert main(["plot-loss", "--trace", str(path), "--out", str(svg_path)]) == 3
+    assert capsys.readouterr().err.startswith("data error:")
+    assert not svg_path.exists()
 
 
 def test_plot_zonotope(tmp_path):

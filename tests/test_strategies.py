@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from tropiprune import (AdapterLayer, ParamIndex, PruneScope,
                         apply_mask, combined_select, forward, select_smallest,
-                        standard_mask, tropical_mask)
+                        standard_mask, strategies, tropical_mask)
 
 from oracles import brute_smallest
 
@@ -197,6 +199,47 @@ def test_masks_match_brute_ranking_on_tied_multi_layer_inputs():
                 agreed = want & brute_smallest(pairs_s, p, scope.value)
                 assert {tuple(i) for i in mask.indices()} == agreed
                 assert p_hat == len(agreed) / mask.size()
+        # the grid reads every cell off one ranking per scope, with the same masks
+        grid = list(strategies.prune_grid(originals, surrogates, fractions, (CB, CU, CN)))
+        assert [(p, scope) for p, scope, _ in grid] == \
+            [(p, scope) for p in fractions for scope in (CB, CU, CN)]
+        for p, scope, masks in grid:
+            trop, p_hat = tropical_mask(originals, surrogates, p, scope)
+            std = standard_mask(originals, p_hat, scope)
+            assert masks["tropical"][1] == p_hat
+            assert masks["standard"][1] == std.fraction()
+            for (mask, _), want_mask in ((masks["tropical"], trop), (masks["standard"], std)):
+                got = [m for pair in mask.entries for m in pair]
+                want = [m for pair in want_mask.entries for m in pair]
+                assert len(got) == len(want) == 2 * len(shapes)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("fractions", [(0.5,), (0.0, 0.2, 0.5, 0.9, 1.0)])
+def test_prune_grid_ranks_once_per_scope(monkeypatch, fractions):
+    calls = []
+    ranks = strategies._ranks
+    monkeypatch.setattr(strategies, "_ranks",
+                        lambda layers, scope: calls.append(scope) or ranks(layers, scope))
+    rng = np.random.default_rng(31)
+    originals = [random_layer(rng), random_layer(rng, d=3)]
+    surrogates = [random_layer(rng), random_layer(rng, d=3)]
+    scopes = (CB, CU, CN)
+    cells = list(strategies.prune_grid(originals, surrogates, fractions, scopes))
+    assert len(cells) == len(fractions) * len(scopes)
+    assert len(calls) == 2 * len(scopes)
+
+
+def test_non_finite_surrogate_raises():
+    rng = np.random.default_rng(37)
+    orig, opt = random_layer(rng), random_layer(rng)
+    bad_up = opt.up.copy()
+    bad_up[0, 0] = np.nan
+    surrogate = SimpleNamespace(down=opt.down, up=bad_up)
+    with pytest.raises(ValueError, match="non-finite"):
+        tropical_mask([orig], [surrogate], 0.5, CU)
+    with pytest.raises(ValueError, match="non-finite"):
+        list(strategies.prune_grid([orig], [surrogate], [0.5], [CU]))
 
 
 def test_apply_mask():
