@@ -4,6 +4,10 @@ Bundles, `report.json` and the loss trace are byte-identical contracts: a
 change to the bundle writer, the fit or the masks that moves one byte of them
 fails here.  The digests were taken with the `json.dumps(doc, indent=1,
 sort_keys=True)` bundle writer that `tests/oracles.py:bundle_json` keeps.
+The surrogate's `optimized.json` and `trace_layer0.json` were last pinned
+when the fit began composing each iteration's node steps in closed form; the
+per-node loop they replace agrees with them to 1e-12 relative
+(`test_optimizer.test_run_matches_reference_loop`).
 """
 
 import hashlib
@@ -23,7 +27,7 @@ GOLDEN_CONFIG = {
 
 GOLDEN = {
     "prune/optimized.json":
-        "00b7f938124d828c613ec97da6697b1ccb2c8f85512a5be5082d1ed6aff18e76",
+        "11fca315927d247f589c75e43aabf9391028cf0d9e7d4d3dc59038fe414e529b",
     "prune/pruned_standard_CB_p000.json":
         "932b8a4bcae34b2c94cef01c8e05d4c13e5d854da3c0f316c96fa5a7dfd33da0",
     "prune/pruned_standard_CB_p030.json":
@@ -63,7 +67,7 @@ GOLDEN = {
     "prune/report.json":
         "f948a436b375f780fbbb8bf3933781b000a5a560ebc473549b23dbdffe257349",
     "prune/trace_layer0.json":
-        "9eef611dac76235b965e1c0f0bd2e5ef617131c7f0e45713bf755f7c339a3ead",
+        "71cdb4626cfa243491aaf1c186a6e04f961c103bbd925adba58648c84f013b1a",
     "train/bundle.json":
         "932b8a4bcae34b2c94cef01c8e05d4c13e5d854da3c0f316c96fa5a7dfd33da0",
 }

@@ -3,12 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tropiprune import (AdapterLayer, OptimConfig, branch_loss, node_generators,
+from tropiprune import (AdapterLayer, OptimConfig, branch_loss, init_model, node_generators,
                         objective_value, run, subgradient)
 from tropiprune.errors import NumericError
 
-from oracles import materialised_objective
+from oracles import materialised_objective, reference_run
 
 
 def random_layer(rng, d=4, r=2, scale=1.0):
@@ -253,44 +255,113 @@ def test_branch_alternation_touches_both_signs():
     assert result.up[1, 0] != layer.up[1, 0]
 
 
-def reference_run(layer, cfg):
-    """run() as a plain loop over the public subgradient and the oracle objective."""
-    down_hat, up_hat = layer.down.copy(), layer.up.copy()
-
-    def value():
-        return materialised_objective(layer.down, layer.up, down_hat, up_hat,
-                                      cfg.l1_pos, cfg.l1_neg)
-
-    trace = [(0, value())]
-    for t in range(1, cfg.iterations + 1):
-        branch = "pos" if t % 2 == 0 else "neg"
-        l1 = cfg.l1_pos if branch == "pos" else cfg.l1_neg
-        for node in range(layer.width):
-            d_down, d_up = subgradient(layer, down_hat, up_hat, node, branch, l1)
-            down_hat -= cfg.lr * d_down
-            up_hat[node] -= cfg.lr * d_up[node]
-        trace.append((t, value()))
-        if t >= cfg.window:
-            prev = trace[t - cfg.window][1]
-            if abs(trace[-1][1] - prev) / max(abs(prev), 1e-300) < cfg.tol:
-                return down_hat, up_hat, trace, t
-    return down_hat, up_hat, trace, None
+def seeded_layer(d, r):
+    return random_layer(np.random.default_rng(d), d=d, r=r, scale=0.5)
 
 
-@pytest.mark.parametrize("d,r", [(16, 4), (64, 8)])
-def test_run_matches_reference_loop(d, r):
-    rng = np.random.default_rng(d)
-    layer = random_layer(rng, d=d, r=r, scale=0.5)
-    cfg = OptimConfig(iterations=300, lr=1e-2, l1_pos=0.05, l1_neg=0.02, tol=1e-4, window=5)
-    result = run(layer, cfg)
-    down, up, trace, converged_at = reference_run(layer, cfg)
-    assert converged_at is not None and result.converged_at == converged_at
-    # bit for bit, signed zeros included
-    assert result.down.tobytes() == down.tobytes()
-    assert result.up.tobytes() == up.tobytes()
+def untrained_adapter():
+    """The init_model adapter; the merged bias column of its down is exactly 0."""
+    return init_model(6, features=16, bottleneck=4, seed=0).adapter
+
+
+def assert_matches_reference(result, reference):
+    """run() against the per-node loop, to 1e-12 relative.
+
+    Matrices: max-abs difference over max-abs; loss trace: every entry;
+    converged_at: equal.
+    """
+    down, up, trace, converged_at = reference
+    assert result.converged_at == converged_at
+    for got, want in ((result.down, down), (result.up, up)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert [t for t, _ in result.loss_trace] == [t for t, _ in trace]
     for (_, got), (_, want) in zip(result.loss_trace, trace):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("make_layer,tol", [
+    pytest.param(lambda: seeded_layer(16, 4), 1e-4, id="16-4"),
+    pytest.param(lambda: seeded_layer(64, 8), 1e-4, id="64-8"),
+    # the per-node loop takes tens of ms an iteration here: a looser stop
+    # ends both fits after 10 iterations
+    pytest.param(lambda: seeded_layer(256, 16), 1e-3, id="256-16"),
+    pytest.param(untrained_adapter, 1e-4, id="init_model"),
+])
+def test_run_matches_reference_loop(make_layer, tol):
+    layer = make_layer()
+    cfg = OptimConfig(iterations=300, lr=1e-2, l1_pos=0.05, l1_neg=0.02, tol=tol, window=5)
+    reference = reference_run(layer, cfg)
+    assert reference[3] is not None
+    assert_matches_reference(run(layer, cfg), reference)
+
+
+#: log10 of a sparsity weight over the product of the two matrices' scales
+log_penalties = st.one_of(st.none(), st.floats(-3.0, 0.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 40), r=st.integers(1, 6),
+       down_scale=st.floats(-3.0, 1.0), up_scale=st.floats(-3.0, 1.0),
+       l1_pos=log_penalties, l1_neg=log_penalties, step=st.floats(1e-3, 1.9),
+       iterations=st.integers(1, 30))
+def test_run_matches_reference_loop_on_any_layer(seed, d, r, down_scale, up_scale,
+                                                 l1_pos, l1_neg, step, iterations):
+    rng = np.random.default_rng(seed)
+    down_scale, up_scale = 10.0 ** down_scale, 10.0 ** up_scale
+    layer = AdapterLayer(down_scale * rng.normal(size=(r, d + 1)),
+                         up_scale * rng.normal(size=(d, r)))
+    # lr up to 1.9 over the larger curvature, of the up entries and of the
+    # down rows: lr * ph^2 passes 1 where the up side is the larger, and no
+    # fit is so unstable that rounding alone sets its result
+    curvature = max(float(np.max(layer.up * layer.up)),
+                    float(np.max((layer.down * layer.down).sum(axis=1))))
+    penalty = [0.0 if log is None else 10.0 ** log * down_scale * up_scale
+               for log in (l1_pos, l1_neg)]
+    cfg = OptimConfig(iterations=iterations, lr=step / curvature, l1_pos=penalty[0],
+                      l1_neg=penalty[1], tol=0.0)
+    with np.errstate(all="ignore"):
+        reference = reference_run(layer, cfg)
+    first = next((t for t, v in reference[2] if not np.isfinite(v)), None)
+    if first is None:
+        assert_matches_reference(run(layer, cfg), reference)
+    else:
+        with pytest.raises(NumericError, match=f"diverged at iteration {first} "):
+            run(layer, cfg)
+
+
+def test_layer_zeros_stay_exact_zeros():
+    # the merged bias column of down is 0 in the layer, and so are the up
+    # entries zeroed here, positive and negative ones before
+    adapter = untrained_adapter()
+    up = adapter.up.copy()
+    up[::3, 1] = 0.0
+    layer = AdapterLayer(adapter.down, up)
+    result = run(layer, OptimConfig(iterations=200, lr=0.05, l1_pos=0.2, l1_neg=0.2, tol=0.0))
+    assert np.all(layer.down[:, -1] == 0.0)
+    assert np.all(result.down[:, -1] == 0.0)
+    assert np.all(result.up[::3, 1] == 0.0)
+    assert np.all(result.down[:, :-1] != layer.down[:, :-1])
+
+
+def test_subgradient_moves_zeros_off_a_non_zero_layer_value():
+    layer = AdapterLayer(np.array([[0.3, 0.5]]), np.array([[0.8]]))
+    d_down, _ = subgradient(layer, np.array([[0.0, 0.5]]), layer.up, 0, "pos", 0.1)
+    assert 0.0 - 0.01 * d_down[0, 0] == pytest.approx(0.00192, rel=1e-12)
+
+
+def test_run_memory_is_linear():
+    # one (r, d+1) down per node step of an iteration would take about 300 MB
+    rng = np.random.default_rng(8)
+    layer = random_layer(rng, d=768, r=64, scale=0.5)
+    cfg = OptimConfig(iterations=2, lr=1e-3, l1_pos=1e-3, l1_neg=1e-3, tol=0.0)
+    run(layer, cfg)
+    tracemalloc.start()
+    try:
+        run(layer, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000
 
 
 def test_run_raises_at_first_non_finite_iteration():
