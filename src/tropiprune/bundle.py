@@ -89,6 +89,16 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         raise
 
 
+def read_json(path: str | Path, what: str, error: type[Exception]):
+    """The JSON document in a file; a missing, unreadable or malformed file raises `error`."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:  # missing, a directory, not permitted
+        raise error(f"cannot read {what} file {path}: {exc.strerror}") from None
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise error(f"{what} file {path} is not JSON text: {exc}") from None
+
+
 def _json_list(items: list[str], depth: int) -> str:
     """`json.dumps(indent=1)`'s layout of a list of rendered items nested `depth` deep."""
     if not items:
@@ -191,13 +201,7 @@ def _tensor(tensors: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
 
 def load_bundle(path: str | Path) -> WeightBundle:
     """Read a bundle; a missing, malformed or inconsistent file raises DataError."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise DataError(f"bundle file not found: {path}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"bundle is not valid JSON: {exc}") from None
-    doc = _object(doc, "file")
+    doc = _object(read_json(path, "bundle", DataError), "file")
     if doc.get("format") != FORMAT:
         raise DataError(f"unexpected bundle format {doc.get('format')!r:.40}")
     if doc.get("version") != VERSION:

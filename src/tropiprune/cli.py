@@ -17,14 +17,13 @@ import csv
 import inspect
 import io
 import json
-import math
 import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
-from .bundle import WeightBundle, load_bundle, save_bundle, write_text_atomic
+from .bundle import WeightBundle, load_bundle, read_json, save_bundle, write_text_atomic
 from .errors import ConfigError, DataError, NumericError
 from .geometry import project_generators, zonotope_vertices
 from .adapter import node_generators
@@ -53,16 +52,7 @@ _KEYS = {**_PARAMS, "prune": ("fractions", "scopes", "methods"), "sweep": ("seed
 
 
 def _load_config(path: str) -> dict:
-    try:
-        text = Path(path).read_text()
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except (IsADirectoryError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
+    cfg = read_json(path, "config", ConfigError)
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     for section, keys in cfg.items():
@@ -76,23 +66,19 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _env_seed() -> int | None:
-    raw = os.environ.get(SEED_ENV)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
-
-
 @contextmanager
-def _errors(section: str):
-    """Report a malformed value of a config section as a ConfigError."""
+def _errors(source: str, error: type[Exception] = ConfigError):
+    """Re-raise a library's rejection of a value from `source` as `error`, naming `source`."""
     try:
         yield
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad {section} section: {exc}") from None
+        raise error(f"bad {source}: {exc}") from None
+
+
+def _env_seed() -> int | None:
+    raw = os.environ.get(SEED_ENV)
+    with _errors(SEED_ENV):
+        return None if raw is None else int(raw)
 
 
 def _int(value) -> int:
@@ -108,7 +94,7 @@ _COERCE = {int: _int, float: float, str: str}
 def _settings(cfg: dict, section: str) -> dict:
     """The keys a library section sets, each coerced to its parameter's annotation."""
     params = _PARAMS[section]
-    with _errors(section):
+    with _errors(f"{section} section"):
         return {key: _COERCE[params[key].annotation](value)
                 for key, value in cfg.get(section, {}).items()}
 
@@ -123,7 +109,7 @@ def _read(cfg: dict, section: str, fn, *args, **fixed):
     for name, param in _PARAMS[section].items():
         if param.default is param.empty and name not in keys:
             raise ConfigError(f"missing field: {section}.{name}")
-    with _errors(section):
+    with _errors(f"{section} section"):
         return fn(*args, **keys)
 
 
@@ -140,7 +126,7 @@ def _list(cfg: dict, section: str, key: str, parse, default: list | None = None)
     if key not in keys and default is None:
         raise ConfigError(f"missing field: {section}.{key}")
     raw = keys.get(key, default)
-    with _errors(section):
+    with _errors(f"{section} section"):
         if not isinstance(raw, list) or not raw:
             raise ValueError(f"{key} must be a non-empty JSON list, got {raw!r}")
         return [parse(item) for item in raw]
@@ -194,7 +180,10 @@ def _train_model(cfg: dict, task: SyntheticTask, model_seed: int, train_seed: in
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     env = _env_seed()
-    task = _read(cfg, "task", SyntheticTask, seed=_seed(cfg, "task", env))
+    task = _read(cfg, "task", SyntheticTask)
+    if env is not None:
+        with _errors(SEED_ENV):
+            task = replace(task, seed=env)
     model_seed, train_seed = _seed(cfg, "model", env), _seed(cfg, "train", env)
     out = _out_dir(cfg)
     _, result = _train_model(cfg, task, model_seed, train_seed)
@@ -284,18 +273,17 @@ def cmd_sweep(args) -> int:
     env = _env_seed()
     if env is not None:
         seeds = [env]
+    with _errors("sweep section" if env is None else SEED_ENV):
+        tasks = [replace(task, seed=seed) for seed in seeds]
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(CSV_HEADER)
-    for seed in seeds:
-        run_task = replace(task, seed=seed)
+    for seed, run_task in zip(seeds, tasks):
         data, result = _train_model(cfg, run_task, model_seed=seed + 1,
                                     train_seed=seed + 2)
         records = sweep(result.model, run_task, fractions, scopes, methods,
                         optim, data=data)
         for rec in records:
-            if not all(math.isfinite(v) for v in (rec.dev_metric, rec.test_metric)):
-                raise NumericError(f"non-finite metric in cell {rec}")
             writer.writerow([rec.task, rec.method, rec.scope, repr(rec.p),
                              repr(rec.p_hat), repr(100.0 * (1.0 - rec.p_hat)),
                              repr(rec.dev_metric), repr(rec.test_metric), rec.seed])
@@ -305,44 +293,28 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_plot_loss(args) -> int:
-    try:
-        doc = json.loads(Path(args.trace).read_text())
-    except FileNotFoundError:
-        raise DataError(f"trace file not found: {args.trace}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"trace file is not valid JSON: {exc}") from None
-    trace = doc.get("trace") if isinstance(doc, dict) else doc
-    if not isinstance(trace, list) or not trace:
-        raise DataError("trace file holds no points")
-    try:
-        svg = loss_curve_svg([(int(t), float(v)) for t, v in trace])
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"malformed trace: {exc}") from None
+    doc = read_json(args.trace, "trace", DataError)
+    if not isinstance(doc, dict) or not isinstance(doc.get("trace"), list):
+        raise DataError('a trace file must hold {"trace": [[iteration, loss], ...]}')
+    with _errors("trace", DataError):
+        svg = loss_curve_svg(doc["trace"])
     write_text_atomic(args.out, svg)
     print(args.out)
     return 0
 
 
 def _parse_dims(raw: str) -> tuple[int, int]:
-    parts = raw.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"--dims expects two comma-separated indices, got {raw!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ConfigError(f"--dims must be integers, got {raw!r}") from None
+    with _errors(f"--dims {raw!r}"):
+        first, second = map(int, raw.split(","))
+    return first, second
 
 
 def _node_polytope(bundle: WeightBundle, layer: int, node: int, dims: tuple[int, int]):
     if layer != 0:
         raise DataError(f"layer {layer} out of range; bundle has one adapter layer")
-    adapter = bundle.model.adapter
-    if not 0 <= node < adapter.width:
-        raise DataError(f"node {node} out of range for width {adapter.width}")
-    if not all(0 <= d < adapter.down.shape[1] for d in dims):
-        raise DataError(f"dims {dims} out of range for {adapter.down.shape[1]} columns")
-    pos, _ = node_generators(adapter, node)
-    return zonotope_vertices(project_generators(pos, dims))
+    with _errors("plot-zonotope arguments", DataError):
+        pos, _ = node_generators(bundle.model.adapter, node)
+        return zonotope_vertices(project_generators(pos, dims))
 
 
 def cmd_plot_zonotope(args) -> int:

@@ -48,8 +48,10 @@ class SyntheticTask:
             raise ValueError("classes must be at least 2")
         if self.kind in ("moons", "xor_grid") and self.classes != 2:
             raise ValueError(f"{self.kind} is a binary task")
-        if not self.noise >= 0:  # NaN fails it too
-            raise ValueError("noise must be >= 0")
+        if not 0 <= self.noise < math.inf:  # NaN fails it too
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ y axis, so the coordinates stored in the file are the data values themselves
 
 from __future__ import annotations
 
+import math
+from numbers import Integral, Real
 from typing import Sequence
 
 from .geometry import Polytope2D
@@ -15,6 +17,9 @@ SVG_HEADER = '<?xml version="1.0" encoding="UTF-8"?>\n'
 
 BEFORE_COLOR = "#d62728"
 AFTER_COLOR = "#1f77b4"
+
+LOSS_WIDTH, LOSS_HEIGHT = 640, 420
+ZONOTOPE_SIZE = 520  # square canvas
 
 
 def _svg(width: int, height: int, body: list[str]) -> str:
@@ -33,12 +38,25 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def loss_curve_svg(trace: Sequence[tuple[int, float]],
-                   width: int = 640, height: int = 420) -> str:
-    """Polyline of (iteration, combined loss) with labeled axes."""
-    points = [(float(t), float(v)) for t, v in trace]
+def _trace_point(t, v) -> tuple[float, float]:
+    """An integer iteration and a finite loss, neither a bool, as floats."""
+    if isinstance(t, bool) or not isinstance(t, Integral):
+        raise ValueError(f"iteration must be an integer, got {t!r}")
+    if isinstance(v, bool) or not isinstance(v, Real) or not math.isfinite(v):
+        raise ValueError(f"loss must be a finite number, got {v!r}")
+    return float(t), float(v)
+
+
+def loss_curve_svg(trace: Sequence[tuple[int, float]]) -> str:
+    """Polyline of (iteration, combined loss) with labeled axes.
+
+    An empty trace, a non-integer iteration, a non-finite or boolean loss, or
+    values too large to scale onto the canvas raise ValueError.
+    """
+    points = [_trace_point(t, v) for t, v in trace]
     if not points:
         raise ValueError("cannot plot an empty loss trace")
+    width, height = LOSS_WIDTH, LOSS_HEIGHT
     left, right, top, bottom = 80, 24, 24, 56
     plot_w, plot_h = width - left - right, height - top - bottom
     xs = [p[0] for p in points]
@@ -49,6 +67,8 @@ def loss_curve_svg(trace: Sequence[tuple[int, float]],
         x1 = x0 + 1.0
     if y1 == y0:
         y1 = y0 + 1.0
+    if not (0 < x1 - x0 < math.inf and 0 < y1 - y0 < math.inf):
+        raise ValueError("trace values are too large to plot")
     sx = plot_w / (x1 - x0)
     sy = plot_h / (y1 - y0)
     body = [f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>']
@@ -85,11 +105,11 @@ def loss_curve_svg(trace: Sequence[tuple[int, float]],
 
 
 def zonotope_overlay_svg(before: Polytope2D, after: Polytope2D,
-                         label_before: str = "before", label_after: str = "after",
-                         width: int = 520, height: int = 520) -> str:
+                         label_before: str = "before", label_after: str = "after") -> str:
     """Two polygon outlines over a shared uniform scale, with a legend."""
     if not before.vertices or not after.vertices:
         raise ValueError("cannot plot empty polytopes")
+    width = height = ZONOTOPE_SIZE
     margin = 50
     pts = list(before.vertices) + list(after.vertices)
     x0 = min(p[0] for p in pts)
@@ -97,7 +117,7 @@ def zonotope_overlay_svg(before: Polytope2D, after: Polytope2D,
     y0 = min(p[1] for p in pts)
     y1 = max(p[1] for p in pts)
     span = max(x1 - x0, y1 - y0, 1e-9)
-    scale = (min(width, height) - 2 * margin) / span
+    scale = (ZONOTOPE_SIZE - 2 * margin) / span
     tx = margin - x0 * scale
     ty = height - margin + y0 * scale
     body = [f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',

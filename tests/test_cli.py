@@ -41,6 +41,21 @@ def write_config(tmp_path, overrides=None, name="config.json"):
     return path
 
 
+# The ways an input file can fail to hold a JSON document.  Every input file
+# (config, bundle, trace) is tested with each of them.
+BROKEN_FILES = ["missing", "directory", "not-utf8", "invalid-json"]
+
+
+def break_file(path, case, text):
+    """Leave at `path` the broken file `case` names; `text` is a valid document holding "ö"."""
+    if case == "directory":
+        path.mkdir()
+    elif case == "not-utf8":
+        path.write_bytes(text.encode("latin-1"))
+    elif case == "invalid-json":
+        path.write_text("{not json")
+
+
 def test_train_writes_bundle_with_expected_shapes(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["train", "--config", str(cfg)]) == 0
@@ -73,14 +88,10 @@ def test_train_bad_json_exits_2(tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["not-utf8", "directory"])
+@pytest.mark.parametrize("case", BROKEN_FILES)
 def test_unreadable_config_exits_2(tmp_path, capsys, case):
     path = tmp_path / "bad.json"
-    if case == "not-utf8":
-        text = write_config(tmp_path).read_text()
-        path.write_bytes(text.replace('"blobs"', '"blöbs"').encode("latin-1"))
-    else:
-        path.mkdir()
+    break_file(path, case, write_config(tmp_path).read_text().replace('"blobs"', '"blöbs"'))
     assert main(["train", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / "run").exists()
@@ -96,6 +107,19 @@ def test_seed_env_override(tmp_path, monkeypatch):
     # the env seed wins over both configs, so outputs agree
     assert (tmp_path / "a" / "bundle.json").read_bytes() == \
         (tmp_path / "b" / "bundle.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_negative_seed_env_exits_2(tmp_path, capsys, monkeypatch, command):
+    cfg = write_config(tmp_path)
+    out_csv = tmp_path / "r.csv"
+    monkeypatch.setenv("TROPIPRUNE_SEED", "-1")
+    argv = {"train": ["train", "--config", str(cfg)],
+            "sweep": ["sweep", "--config", str(cfg), "--out", str(out_csv)]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "TROPIPRUNE_SEED" in err
+    assert not (tmp_path / "run").exists() and not out_csv.exists()
 
 
 # (command, section, key, value): each exits 2 with "config error:" and the
@@ -135,6 +159,9 @@ MALFORMED = [
     ("train", "model", "classes", 7),
     ("sweep", "model", "in_dim", 99),
     ("sweep", "model", "classes", 7),
+    ("train", "task", "seed", -1),
+    ("sweep", "sweep", "seeds", [-1]),
+    ("train", "task", "noise", float("inf")),
 ]
 
 
@@ -298,15 +325,15 @@ MALFORMED_BUNDLES = [
 ]
 
 
-@pytest.mark.parametrize("edit", [e for _, e in MALFORMED_BUNDLES] + ["list", "latin-1"],
-                         ids=[c for c, _ in MALFORMED_BUNDLES] + ["top-level-list", "not-utf8"])
+@pytest.mark.parametrize("edit", [e for _, e in MALFORMED_BUNDLES] + ["list"] + BROKEN_FILES,
+                         ids=[c for c, _ in MALFORMED_BUNDLES] + ["top-level-list"] + BROKEN_FILES)
 def test_malformed_bundle_exits_3(tmp_path, capsys, trained_bundle, edit):
     text = trained_bundle.read_text()
     bad = tmp_path / "bad.json"
     if edit == "list":
         bad.write_text("[" + text + "]")
-    elif edit == "latin-1":
-        bad.write_bytes(text.replace('"blobs"', '"blöbs"').encode("latin-1"))
+    elif edit in BROKEN_FILES:
+        break_file(bad, edit, text.replace('"blobs"', '"blöbs"'))
     else:
         doc = json.loads(text)
         edit(doc)
@@ -403,21 +430,36 @@ def test_plot_loss_from_prune_trace(tmp_path):
     ET.fromstring(svg_path.read_text())
 
 
-def test_plot_loss_empty_trace_exits_3(tmp_path, capsys):
+# (case, trace document): each exits 3 with "data error:" and writes no SVG.
+BAD_TRACES = [
+    ("empty", {"trace": []}),
+    ("infinite-loss", {"trace": [[0, 1.0], [1, float("inf")]]}),
+    ("nan-loss", {"trace": [[0, 1.0], [1, float("nan")]]}),
+    ("fractional-iteration", {"trace": [[0, 1.0], [1.7, 0.5]]}),
+    ("boolean-loss", {"trace": [[0, 1.0], [1, True]]}),
+    ("no-trace", {"layer": 0}),
+    ("trace-not-a-list", {"trace": {"0": 1.0}}),
+    ("point-not-a-pair", {"trace": [[0, 1.0, 2.0]]}),
+    ("loss-range-overflows", {"trace": [[0, -1e308], [1, 1e308]]}),
+    ("huge-constant-loss", {"trace": [[0, 1e17]]}),
+    ("bare-list", [[0, 1.0], [1, 0.5]]),
+]
+
+
+@pytest.mark.parametrize("doc", [d for _, d in BAD_TRACES], ids=[c for c, _ in BAD_TRACES])
+def test_plot_loss_empty_trace_exits_3(tmp_path, capsys, doc):
     bad = tmp_path / "trace.json"
-    bad.write_text(json.dumps({"trace": []}))
-    assert main(["plot-loss", "--trace", str(bad), "--out",
-                 str(tmp_path / "x.svg")]) == 3
-    capsys.readouterr()
+    bad.write_text(json.dumps(doc))
+    svg_path = tmp_path / "x.svg"
+    assert main(["plot-loss", "--trace", str(bad), "--out", str(svg_path)]) == 3
+    assert capsys.readouterr().err.startswith("data error:")
+    assert not svg_path.exists()
 
 
-@pytest.mark.parametrize("case", ["not-utf8", "directory"])
+@pytest.mark.parametrize("case", BROKEN_FILES)
 def test_plot_loss_unreadable_trace_exits_3(tmp_path, capsys, case):
     path = tmp_path / "trace.json"
-    if case == "not-utf8":
-        path.write_bytes('{"trace": [[0, 1.0]], "note": "ö"}'.encode("latin-1"))
-    else:
-        path.mkdir()
+    break_file(path, case, '{"trace": [[0, 1.0]], "note": "ö"}')
     svg_path = tmp_path / "x.svg"
     assert main(["plot-loss", "--trace", str(path), "--out", str(svg_path)]) == 3
     assert capsys.readouterr().err.startswith("data error:")
