@@ -2,7 +2,12 @@
 
 Every command reads a JSON config, runs deterministically for the seeds it is
 given, and writes its outputs atomically.  Exit codes: 0 success, 2 config
-error, 3 data error, 4 numeric failure.
+error, 3 data error, 4 numeric failure.  An output directory that cannot be
+made is rejected (exit 2) before any work starts.
+
+`sweep` runs its seeds in forked worker processes, one per usable CPU up to
+the number of seeds, and writes their rows in seed order: the CSV is the
+same bytes as a one-CPU run.
 
 Every config key is checked: an unknown section or key, or a malformed value,
 exits 2.  The `task`, `model`, `train` and `optim` keys are the keyword
@@ -21,13 +26,15 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from .bundle import WeightBundle, load_bundle, read_json, save_bundle, write_text_atomic
 from .errors import ConfigError, DataError, NumericError
 from .geometry import project_generators, zonotope_vertices
 from .adapter import node_generators
-from .harness import METHODS, SyntheticTask, generate_task, init_model, sweep, train
+from .harness import (METHODS, SweepRecord, SyntheticTask, generate_task, init_model,
+                      sweep, train)
 from .optimizer import OptimConfig, run
 from .strategies import PruneScope, apply_mask, prune_grid
 # Not called here; bench/tracing.py looks both names up on this module.
@@ -150,13 +157,24 @@ def _grid(cfg: dict, allowed: tuple[str, ...]):
             methods)
 
 
+def _usable_dir(path: Path, source: str) -> Path:
+    """`path`, once its nearest existing ancestor (or itself) is a directory.
+
+    Nothing is created: the outputs' writer makes the missing directories.
+    """
+    existing = next((p for p in (path, *path.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError(f"bad {source}: {existing} is not a directory")
+    return path
+
+
 def _out_dir(cfg: dict) -> Path:
     out = cfg.get("out", {})
     if "dir" not in out:
         raise ConfigError("missing field: out.dir")
     if not isinstance(out["dir"], str):
         raise ConfigError(f"bad out section: dir must be a string, got {out['dir']!r}")
-    return Path(out["dir"])
+    return _usable_dir(Path(out["dir"]), "out section")
 
 
 def _disagreement(dims: dict, actual: dict) -> str | None:
@@ -264,7 +282,25 @@ def cmd_prune(args) -> int:
     return 0
 
 
+def _sweep_seed(cfg: dict, task: SyntheticTask, fractions: list, scopes: list,
+                methods: list, optim: OptimConfig) -> list[SweepRecord]:
+    """One seed of a sweep: train on `task`, then prune and score the grid."""
+    data, result = _train_model(cfg, task, model_seed=task.seed + 1,
+                                train_seed=task.seed + 2)
+    return sweep(result.model, task, fractions, scopes, methods, optim, data=data)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_sweep(args) -> int:
+    # imported here, not at the top, so that `import tropiprune.cli` stays quick
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     cfg = _load_config(args.config)
     task = _read(cfg, "task", SyntheticTask)
     optim = _read(cfg, "optim", OptimConfig)
@@ -275,18 +311,21 @@ def cmd_sweep(args) -> int:
         seeds = [env]
     with _errors("sweep section" if env is None else SEED_ENV):
         tasks = [replace(task, seed=seed) for seed in seeds]
+    _usable_dir(Path(args.out).parent, "--out")
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(CSV_HEADER)
-    for seed, run_task in zip(seeds, tasks):
-        data, result = _train_model(cfg, run_task, model_seed=seed + 1,
-                                    train_seed=seed + 2)
-        records = sweep(result.model, run_task, fractions, scopes, methods,
-                        optim, data=data)
-        for rec in records:
-            writer.writerow([rec.task, rec.method, rec.scope, repr(rec.p),
-                             repr(rec.p_hat), repr(100.0 * (1.0 - rec.p_hat)),
-                             repr(rec.dev_metric), repr(rec.test_metric), rec.seed])
+    # map yields in seed order and re-raises the first failing seed's error;
+    # leaving the block joins every worker, on success or failure
+    with ProcessPoolExecutor(min(len(tasks), _usable_cpus()),
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        fit = partial(_sweep_seed, cfg, fractions=fractions, scopes=scopes,
+                      methods=methods, optim=optim)
+        for records in pool.map(fit, tasks):
+            for rec in records:
+                writer.writerow([rec.task, rec.method, rec.scope, repr(rec.p),
+                                 repr(rec.p_hat), repr(100.0 * (1.0 - rec.p_hat)),
+                                 repr(rec.dev_metric), repr(rec.test_metric), rec.seed])
     write_text_atomic(args.out, buf.getvalue())
     print(args.out)
     return 0

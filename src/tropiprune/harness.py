@@ -164,7 +164,7 @@ def _softmax_xent(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=1, keepdims=True)
-    loss = float(np.mean(np.log(total[:, 0]) - shifted[np.arange(len(y)), y]))
+    loss = float((np.log(total[:, 0]) - shifted[np.arange(len(y)), y]).sum() / len(y))
     return e / total, loss
 
 
@@ -194,27 +194,30 @@ def train(model: TinyModel, data: TaskData, steps: int = 2000, lr: float = 0.05,
     head_w = model.head_w.copy()
     head_b = model.head_b.copy()
     h_all = featurize(model, data.x_train)
+    n, width = h_all.shape
     y_all = data.y_train
-    n = h_all.shape[0]
+    # one draw for the whole run yields the same stream as one draw per step
+    batches = rng.integers(0, n, size=(steps, batch))
+    # every step gathers its rows into one buffer whose last column is the bias
+    aug = np.ones((batch, width + 1))
+    h = aug[:, :width]
+    rows = np.arange(batch)
     losses: list[float] = []
     # a diverging run overflows before its loss turns non-finite; the
     # NumericError below reports it, so numpy's own warnings stay quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(steps):
-            idx = rng.integers(0, n, size=batch)
-            h = h_all[idx]
+        for step, idx in enumerate(batches):
+            np.take(h_all, idx, axis=0, out=h)
             y = y_all[idx]
-            aug = np.hstack([h, np.ones((batch, 1))])
             pre = aug @ down.T
             hidden = np.maximum(pre, 0.0)
             adapted = h + hidden @ up.T
             z = adapted @ head_w.T + head_b
-            probs, loss = _softmax_xent(z, y)
+            dz, loss = _softmax_xent(z, y)
             if not math.isfinite(loss):
                 raise NumericError(f"training diverged at step {step}: {loss!r}")
             losses.append(loss)
-            dz = probs.copy()
-            dz[np.arange(batch), y] -= 1.0
+            dz[rows, y] -= 1.0
             dz /= batch
             d_head_w = dz.T @ adapted
             d_head_b = dz.sum(axis=0)

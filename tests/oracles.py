@@ -146,6 +146,47 @@ def reference_run(layer, cfg):
     return down_hat, up_hat, trace, None
 
 
+def reference_train(feature_map, down, up, head_w, head_b, x, y, steps, lr, batch, seed):
+    """Mini-batch SGD on softmax cross entropy, one batch drawn per step.
+
+    Step t draws `batch` row indices with `rng.integers(0, n, size=batch)`,
+    features them as relu(x @ feature_map.T), appends the bias column, runs
+    the residual adapter and the head, and takes the mean cross entropy of
+    the max-shifted logits.  The hand-derived gradients then update `down`,
+    `up`, `head_w` and `head_b` (copies) by `lr`.  Returns the four matrices
+    and the list of per-step losses.
+    """
+    rng = np.random.default_rng(seed)
+    down, up, head_w, head_b = down.copy(), up.copy(), head_w.copy(), head_b.copy()
+    features = np.maximum(np.asarray(x, dtype=np.float64) @ feature_map.T, 0.0)
+    losses = []
+    for _ in range(steps):
+        idx = rng.integers(0, len(features), size=batch)
+        h, labels = features[idx], y[idx]
+        aug = np.hstack([h, np.ones((batch, 1))])
+        pre = aug @ down.T
+        hidden = np.maximum(pre, 0.0)
+        adapted = h + hidden @ up.T
+        z = adapted @ head_w.T + head_b
+        shifted = z - z.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        total = e.sum(axis=1, keepdims=True)
+        losses.append(float(np.mean(np.log(total[:, 0]) - shifted[np.arange(batch), labels])))
+        dz = e / total
+        dz[np.arange(batch), labels] -= 1.0
+        dz /= batch
+        d_head_w = dz.T @ adapted
+        d_head_b = dz.sum(axis=0)
+        d_adapted = dz @ head_w
+        d_up = d_adapted.T @ hidden
+        d_down = ((d_adapted @ up) * (pre > 0.0)).T @ aug
+        down -= lr * d_down
+        up -= lr * d_up
+        head_w -= lr * d_head_w
+        head_b -= lr * d_head_b
+    return down, up, head_w, head_b, losses
+
+
 def sampled_hausdorff(vertices_a, vertices_b, edge_samples=64):
     """Hausdorff distance of two convex polygons from densified boundaries.
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import xml.etree.ElementTree as ET
 from dataclasses import asdict
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from tropiprune import cli, harness
 from tropiprune.bundle import load_bundle
 from tropiprune.cli import main
+from tropiprune.errors import NumericError
 from tropiprune.harness import METHODS, SyntheticTask, init_model
 from tropiprune.optimizer import OptimConfig
 
@@ -420,6 +422,60 @@ def test_sweep_csv_contract(tmp_path):
     again = tmp_path / "again.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(again)]) == 0
     assert again.read_bytes() == out_csv.read_bytes()
+
+
+def test_sweep_rows_match_one_seed_sweeps(tmp_path, monkeypatch):
+    # the seeds run in worker processes; the rows still come in seed order,
+    # byte for byte those of one-seed sweeps
+    cfg = write_config(tmp_path, {"task.n_train": 300, "train.steps": 200,
+                                  "sweep": {"seeds": [0, 1, 2]}})
+    out_csv = tmp_path / "results.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out_csv)]) == 0
+    assert multiprocessing.active_children() == []
+    expected = []
+    for seed in (0, 1, 2):
+        monkeypatch.setenv("TROPIPRUNE_SEED", str(seed))
+        one = tmp_path / f"seed{seed}.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(one)]) == 0
+        header, *rows = one.read_bytes().splitlines(keepends=True)
+        expected += [header] * (seed == 0) + rows
+    assert out_csv.read_bytes() == b"".join(expected)
+
+
+def test_sweep_failing_seed_exits_4(tmp_path, capsys, monkeypatch):
+    # a forked worker runs the patched cli.train; seed s trains with seed s + 2
+    def train_or_fail(model, data, **keys):
+        if keys["seed"] == 1 + 2:
+            raise NumericError("training diverged for sweep seed 1")
+        return harness.train(model, data, **keys)
+
+    monkeypatch.setattr(cli, "train", train_or_fail)
+    cfg = write_config(tmp_path, {"task.n_train": 300, "train.steps": 50,
+                                  "sweep": {"seeds": [0, 1, 2]}})
+    out_csv = tmp_path / "results.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out_csv)]) == 4
+    assert capsys.readouterr().err == "numeric failure: training diverged for sweep seed 1\n"
+    assert not out_csv.exists()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("command", ["train", "prune", "sweep"])
+def test_unusable_out_dir_exits_2(tmp_path, capsys, monkeypatch, trained_bundle, command):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the output directory was checked")
+
+    monkeypatch.setattr(cli, "train", forbidden)
+    monkeypatch.setattr(cli, "run", forbidden)
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "sub"
+    cfg = write_config(tmp_path, {"out.dir": str(out)})
+    argv = {"train": ["train", "--config", str(cfg)],
+            "prune": ["prune", "--bundle", str(trained_bundle), "--config", str(cfg)],
+            "sweep": ["sweep", "--config", str(cfg), "--out", str(out / "results.csv")]}
+    assert main(argv[command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{tmp_path / 'afile'} is not a directory" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
 
 
 def test_plot_loss_from_prune_trace(tmp_path):

@@ -5,6 +5,8 @@ from tropiprune import OptimConfig, PruneScope, SyntheticTask, evaluate, generat
 from tropiprune.harness import TinyModel, _macro_f1, init_model, logits, train
 from tropiprune.strategies import apply_mask, standard_mask
 
+from oracles import reference_train
+
 
 def blobs_task(seed=0):
     return SyntheticTask("blobs", dim=8, classes=3, noise=0.5, seed=seed)
@@ -112,6 +114,26 @@ def test_train_is_deterministic():
     _, _, b = quick_setup(seed=4, steps=120)
     assert np.array_equal(a.model.adapter.down, b.model.adapter.down)
     assert a.losses == b.losses
+
+
+@pytest.mark.parametrize("features,bottleneck,batch,steps", [
+    (16, 4, 32, 300), (256, 16, 7, 40), (768, 64, 33, 5)])
+def test_train_matches_per_step_reference_bitwise(features, bottleneck, batch, steps):
+    data = generate_task(SyntheticTask("blobs", n_train=300, n_dev=8, n_test=8, dim=8,
+                                       classes=3, noise=0.5, seed=features))
+    model = init_model(8, features, bottleneck, 3, seed=bottleneck)
+    # a head away from zero, so that every gradient path carries signal
+    model = TinyModel(model.feature_map, model.adapter,
+                      np.random.default_rng(1).normal(size=model.head_w.shape), model.head_b)
+    result = train(model, data, steps=steps, lr=0.05, batch=batch, seed=3)
+    down, up, head_w, head_b, losses = reference_train(
+        model.feature_map, model.adapter.down, model.adapter.up, model.head_w, model.head_b,
+        data.x_train, data.y_train, steps, 0.05, batch, 3)
+    trained = result.model
+    for have, want in ((trained.adapter.down, down), (trained.adapter.up, up),
+                       (trained.head_w, head_w), (trained.head_b, head_b)):
+        assert np.array_equal(have, want)
+    assert list(result.losses) == losses
 
 
 def test_train_gradients_match_finite_differences():
