@@ -1,4 +1,4 @@
-"""Sparse surrogate fitting for adapter layers by alternating subgradient descent.
+"""Sparse surrogate fitting for adapter layers by exact block-coordinate descent.
 
 The objective keeps each node's generator pair close to the original layer's
 in squared Frobenius distance while an entrywise L1 penalty pushes the
@@ -8,22 +8,18 @@ surrogate generators toward sparsity:
          + l1_pos*||Gp_i(hat)||_1      + l1_neg*||Gn_i(hat)||_1
 
 where Gp_i / Gn_i are the positive- and negative-part generators of node i.
-Descent alternates between the two branches: even iterations step every
-node's positive branch, odd iterations the negative one, node by node in
-index order.  ReLU and absolute value contribute their minimal-norm
-subgradient (zero at the kink).  That does not hold a surrogate entry at
-zero once it gets there: a `down` entry at 0 whose layer value is non-zero
-is pulled off it again by the distance term.  What does hold is that an
-entry that is 0 in the layer itself stays exactly 0, in `down` and in `up`:
-in `down` its distance pull and its L1 subgradient are both 0, and in `up`
-the rectifier's indicator is 0 on both branches.
+With `up` fixed the objective splits into one scalar problem per `down`
+entry, a soft threshold; with `down` fixed, into one per `up` entry, a
+clipped ratio (see _down_block and _up_block).  Each iteration sets both
+blocks to these exact minimisers in turn, so the loss never rises, there is
+no step size, and entries land on exact zeros.  An entry that is 0 in the
+layer stays exactly 0, in `down` and in `up`.
 
 Neither the objective nor an iteration forms the (d, r, d+1) generator
-stacks.  Every node scales the same down-projection rows, so the objective
-reduces to per-row sums over the nodes' signed parts (see objective_value),
-and the d node steps of an iteration compose per row in closed form (see
-_iteration).  Both take O(d*r) time and memory, a few (d, r) and (r, d+1)
-arrays at a time.
+stacks.  Every node scales the same down-projection rows, so both reduce to
+per-row sums over the nodes' signed parts: O(d*r) time and memory.
+`subgradient` and `branch_loss` give one node's branch loss and its
+minimal-norm subgradient; the fit itself does not use them.
 """
 
 from __future__ import annotations
@@ -44,10 +40,13 @@ _BRANCH_SIGNS = np.array([1.0, -1.0])[:, None, None]
 
 @dataclass(frozen=True)
 class OptimConfig:
-    """Hyperparameters for the descent loop.
+    """Hyperparameters for the block-coordinate fit.
 
     tol is a relative-change threshold on the combined loss measured across
-    `window` iterations; tol=0 disables early stopping.
+    `window` iterations; tol=0 disables early stopping.  lr has no effect:
+    the exact block minimisers take no step size.  It is still accepted and
+    range-checked so that configs written for the earlier subgradient fit,
+    which set it, keep working.
     """
 
     iterations: int = 1000
@@ -165,203 +164,75 @@ def subgradient(layer: AdapterLayer, down_hat: np.ndarray, up_hat: np.ndarray,
     return scale * pull, d_up
 
 
-#: An entry keeps to the closed form only if its lower bound on sign * value
-#: clears zero by this share of the bound's terms, far above rounding.
-_SIGN_MARGIN = 1e-9
+def _down_block(ref_down: np.ndarray, part_ref: np.ndarray, up_hat: np.ndarray,
+                l1: np.ndarray, down_hat: np.ndarray) -> np.ndarray:
+    """The exact minimiser over `down` with `up_hat` fixed.
 
-#: Rows whose product of the step scales g falls to this take the exact
-#: steps: the closed form divides the shifts by that product.
-_SCALE_FLOOR = 1e-150
-
-#: The exact entries' path is kept for at most this many values at a time.
-_PATH_ENTRIES = 1 << 16
-
-
-def _node_maps(ph: np.ndarray, part_ref: np.ndarray, lr: float, l1: float) -> np.ndarray:
-    """Every node's step on every row of down as (g, k, e), shape (3, d, r)."""
-    step = lr * ph
-    maps = np.empty((3, *ph.shape))
-    np.subtract(1.0, step * ph, out=maps[0])
-    np.multiply(step, ph - part_ref, out=maps[1])
-    np.multiply(step, l1, out=maps[2])
-    return maps
-
-
-def _compose(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B, C) of every row before each node and after the last, shape (3, d+1, r).
-
-    A_i = g_0*...*g_(i-1) and (B, C)_i = A_i * sum_{m<i} (-k_m, -e_m) / A_(m+1).
-    Rows with some g <= 0, or a product of g at or below _SCALE_FLOOR where
-    the division by A would overflow, are returned as exact rows and get the
-    identity.
+    Entry (j, k) solves 0.5*S2_j*x^2 - S1_j*D_jk*x + L_j*|x| on its own, with
+    S2_j = sum_i ph_ij^2, S1_j = sum_i ph_ij*p_ij and L_j = sum_i l1*ph_ij
+    over both branches' parts: x = soft(S1_j*D_jk, L_j)/S2_j.  It is taken
+    in difference form, y = D - ((S2 - S1)/S2)*D and then y less its clip to
+    +-L/S2, so a penalty-free fit at the layer stays there bit for bit.  A
+    row whose parts ph_ij are all 0 (S2_j = 0) leaves the objective flat in
+    x and keeps its value.
     """
-    d, r = maps.shape[1:]
-    coef = np.zeros((3, d + 1, r))
-    coef[0, 0] = 1.0
-    np.cumprod(maps[0], axis=0, out=coef[0, 1:])
-    np.negative(maps[1:], out=coef[1:, 1:])
-    exact_rows = ~(coef[0].min(axis=0) > _SCALE_FLOOR)  # a first g <= 0 makes A <= 0
-    if exact_rows.any():
-        coef[:, :, exact_rows] = coef[:, :1, exact_rows]
-    shifts = coef[1:, 1:]
-    shifts /= coef[0, 1:]
-    np.cumsum(shifts, axis=1, out=shifts)
-    shifts *= coef[0, 1:]
-    return coef, exact_rows
+    part_hat = np.maximum(_BRANCH_SIGNS * up_hat, 0.0)
+    s2 = (part_hat * part_hat).sum(axis=(0, 1))
+    gap = (part_hat * (part_hat - part_ref)).sum(axis=(0, 1))  # S2 - S1
+    thresh = (l1 @ part_hat.sum(axis=1) / s2)[:, None]
+    y = ref_down - (gap / s2)[:, None] * ref_down
+    return np.where((s2 > 0.0)[:, None], y - np.clip(y, -thresh, thresh), down_hat)
 
 
-def _keeps_sign(down_hat: np.ndarray, ref_down: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Entries of down whose sign no node step of the iteration can change.
+def _up_block(ref_down: np.ndarray, ref_up: np.ndarray, l1_up: np.ndarray,
+              down_hat: np.ndarray) -> np.ndarray:
+    """The exact minimiser over `up` with `down_hat` fixed.
 
-    An entry x0 with sign s takes the values s*x = A*|x0| + (1 - A + B)*s*D + C,
-    where A > 0, 1 - A + B >= 0 and C <= 0; when s*D >= 0 the first two terms
-    are also at least min(|x0|, |D|)*(1 + B).  The lower bound over the
-    iteration has to clear 0 by _SIGN_MARGIN of its terms.  Entries at 0
-    never qualify.
+    Entry (i, j) is max(0, p*c - l1*n)/a with the sign of the layer's entry,
+    where p = |U_ij|, a = |Dh_j|^2, c = <Dh_j, D_j>, n = |Dh_j|_1 and l1 the
+    penalty of U_ij's branch (the other branch's minimiser is 0).  It is
+    taken in difference form, p - (p*(a - c) + l1*n)/a.  Where row j of
+    `down_hat` is all zero (a = 0) the generators are 0 whatever column j
+    holds, and column j is set to 0, the minimal-norm minimiser.  Zeros
+    are written as 0.0, never -0.0.
     """
-    a_min, b_min, c_min = coef.min(axis=1)[:, :, None]
-    drift = 1.0 - a_min + coef[1].max(axis=0)[:, None]  # bounds 1 - A + B
-    size = np.abs(down_hat)
-    aligned = np.sign(down_hat) * ref_down
-    keep = np.maximum(a_min * size + drift * np.minimum(aligned, 0.0),
-                      (1.0 + b_min) * np.minimum(size, aligned))
-    return keep + c_min > _SIGN_MARGIN * (size + drift * np.abs(ref_down) - c_min)
-
-
-def _closed_form(down_hat: np.ndarray, ref_down: np.ndarray, coef: np.ndarray,
-                 closed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row sums before each node over the closed entries, and down after the last node.
-
-    The sums are |dD|^2, <dD, D> and |Dh|_1, shape (3, d, r): quadratic and
-    linear forms of (A, B, C) over each row's 3x3 Gram matrix of (dD, D, s).
-    """
-    state = np.empty((len(down_hat), 3, down_hat.shape[1]))  # per row: (dD, D, s)
-    np.subtract(down_hat, ref_down, out=state[:, 0])
-    state[:, 1] = ref_down
-    np.sign(down_hat, out=state[:, 2])
-    down_new = ref_down + (coef[:, -1].T[:, None] @ state)[:, 0]
-    np.copyto(state, 0.0, where=~closed[:, None])
-    gram = state @ state.transpose(0, 2, 1)
-    before = coef[:, :-1]
-    sums = (before.T @ gram).T  # <row before node i, (dD, D, s)>
-    sums[0] = before[0] * sums[0] + before[1] * sums[1] + before[2] * sums[2]
-    sums[2] += gram[:, 1, 2]
-    return sums, down_new
-
-
-def _exact_steps(ref_down: np.ndarray, down_hat: np.ndarray, down_new: np.ndarray,
-                 maps: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                 sums: np.ndarray) -> None:
-    """Steps the given entries node by node, into down_new; their terms join sums.
-
-    The entries come row by row, as np.nonzero gives them.  Their dD and
-    value before each node are kept for a block of nodes at a time, at most
-    _PATH_ENTRIES of each; the steps write into preallocated arrays.
-    """
-    d = maps.shape[1]
-    ref = ref_down[rows, cols]
-    counts = np.bincount(rows, minlength=maps.shape[2])
-    hit = np.flatnonzero(counts)
-    counts = counts[hit]
-    starts = np.searchsorted(rows, hit)
-    block = max(1, min(d, _PATH_ENTRIES // len(rows)))
-    offs = np.empty((block + 1, len(rows)))  # dD before each node of the block, and after
-    values = np.empty((block, len(rows)))
-    pushed = np.empty(len(rows))
-    np.subtract(down_hat[rows, cols], ref, offs[0])
-    for first in range(0, d, block):
-        # the block's maps per entry; they then hold the entries' terms
-        terms = np.repeat(maps[:, first:first + block, hit], counts, axis=2)
-        gamma, shift, push = terms
-        shift *= ref
-        for off_i, off_next, x_i, g_i, k_i, e_i in zip(offs, offs[1:], values, gamma, shift,
-                                                       push):
-            np.add(ref, off_i, x_i)
-            np.multiply(e_i, np.sign(x_i, pushed), pushed)
-            np.multiply(g_i, off_i, off_next)
-            off_next -= k_i
-            off_next -= pushed
-        walked = offs[:len(gamma)]
-        np.multiply(walked, walked, gamma)
-        np.multiply(walked, ref, shift)
-        np.abs(values[:len(gamma)], push)
-        sums[:, first:first + len(gamma), hit] += np.add.reduceat(terms, starts, axis=2)
-        offs[0] = offs[len(gamma)]
-    down_new[rows, cols] = ref + offs[0]
-
-
-def _iteration(ref_down: np.ndarray, ref_sq: np.ndarray, down_hat: np.ndarray,
-               up_hat: np.ndarray, part_ref: np.ndarray, sign: float, l1: float,
-               lr: float) -> np.ndarray:
-    """Every node's branch step in node order; returns the new down, steps up in place.
-
-    With dD = Dh - D on a row of down and the node's parts ph, p on that row,
-    node i's step (ph > 0; ph = 0 is the identity) is the affine map
-
-        dD <- g*dD - k*D - e*s,   g = 1 - lr*ph^2,  k = lr*ph*(ph - p),  e = lr*l1*ph,
-
-    the same for the row's d+1 entries as long as none of their signs s
-    changes.  So row j before node i's step is (A, B, C)_ij . (dD, D, s) of
-    the start state, with (A, B, C) the prefix compositions of the maps
-    (_compose), and node i's up-row gradient
-
-        ph*|dD|^2 + (2*ph - p)*<dD, D> + (ph - p)*|D|^2 + l1*|Dh|_1
-
-    needs only per-row sums that are forms in (A, B, C) (_closed_form).
-    Every term carries a difference, so a penalty-free fit at the layer
-    stays there bit for bit.  An entry whose sign a bound cannot keep over
-    the iteration (_keeps_sign), and every entry of an exact row, takes the
-    exact per-node steps instead (_exact_steps).  Time is O(d*r) plus O(d)
-    per exact entry; memory is O(d*r).
-    """
-    ph = np.maximum(sign * up_hat, 0.0)  # node i changes only its own up-row
-    maps = _node_maps(ph, part_ref, lr, l1)
-    coef, exact_rows = _compose(maps)
-    closed = _keeps_sign(down_hat, ref_down, coef)
-    closed[exact_rows] = False
-    sums, down_new = _closed_form(down_hat, ref_down, coef, closed)
-    rows, cols = np.nonzero(~closed)
-    if len(rows):
-        _exact_steps(ref_down, down_hat, down_new, maps, rows, cols, sums)
-    sq, cross, hat_l1 = sums
-    gap = ph - part_ref
-    grad = ph * (sq + cross) + gap * (cross + ref_sq) + l1 * hat_l1
-    up_hat -= (lr * sign) * np.where(ph > 0.0, grad, 0.0)
-    return down_new
+    a = (down_hat * down_hat).sum(axis=1)
+    gap = (down_hat * (down_hat - ref_down)).sum(axis=1)  # a - c
+    size = np.abs(ref_up)
+    shrunk = size - (size * gap + l1_up * np.abs(down_hat).sum(axis=1)) / a
+    return np.where((a > 0.0) & (shrunk > 0.0), np.sign(ref_up) * shrunk, 0.0)
 
 
 def run(layer: AdapterLayer, config: OptimConfig) -> OptimResult:
-    """Alternating per-node subgradient descent, recording the combined loss.
+    """Exact block-coordinate descent, recording the combined loss.
 
     Starts from the layer's own matrices (zero distance, only the sparsity
-    pressure moves anything).  Iteration t steps every node once, in node
-    order, on the positive branch when t is even and on the negative branch
-    when t is odd; the steps of one iteration are composed in closed form
-    (see _iteration).
+    pressure moves anything).  Iteration t sets `down` to its exact
+    minimiser with `up` fixed (_down_block), then `up` to its exact
+    minimiser with that `down` fixed (_up_block), and records the loss;
+    iteration 0 records the starting loss.  Ties go two ways: a `down` row
+    whose `up` column parts are all 0 keeps its value, and an `up` column
+    whose `down` row is all zero is set to 0.
 
     Raises:
-        NumericError: at the first iteration whose loss is not finite, with
-            numpy's overflow and invalid-value warnings silenced.
+        NumericError: at the first iteration, 0 included, whose loss is not
+            finite; the whole fit runs with numpy's floating-point warnings
+            silenced, so that error is the only report.
     """
-    down_hat = layer.down.copy()
-    up_hat = layer.up.copy()
-    parts_ref = {POS: np.maximum(layer.up, 0.0), NEG: np.maximum(-layer.up, 0.0)}
-    ref_sq = (layer.down * layer.down).sum(axis=1)
-    # a diverging fit overflows before its loss turns non-finite; the
-    # NumericError below reports it, so numpy's own warnings stay quiet
-    with np.errstate(over="ignore", invalid="ignore"):
-        trace: list[tuple[int, float]] = [
-            (0, objective_value(layer, down_hat, up_hat, config.l1_pos, config.l1_neg))]
-        converged_at: int | None = None
-        for t in range(1, config.iterations + 1):
-            branch = POS if t % 2 == 0 else NEG
-            l1 = config.l1_pos if branch == POS else config.l1_neg
-            down_hat = _iteration(layer.down, ref_sq, down_hat, up_hat, parts_ref[branch],
-                                  _branch_sign(branch), l1, config.lr)
+    l1 = np.array([config.l1_pos, config.l1_neg])
+    down_hat, up_hat = layer.down, layer.up
+    trace: list[tuple[int, float]] = []
+    converged_at: int | None = None
+    with np.errstate(all="ignore"):
+        part_ref = np.maximum(_BRANCH_SIGNS * layer.up, 0.0)
+        l1_up = np.where(layer.up > 0.0, config.l1_pos, config.l1_neg)
+        for t in range(config.iterations + 1):
+            if t:
+                down_hat = _down_block(layer.down, part_ref, up_hat, l1, down_hat)
+                up_hat = _up_block(layer.down, layer.up, l1_up, down_hat)
             loss = objective_value(layer, down_hat, up_hat, config.l1_pos, config.l1_neg)
             if not math.isfinite(loss):
-                raise NumericError(f"surrogate loss diverged at iteration {t} "
-                                   f"on the {branch} branch: {loss!r}")
+                raise NumericError(f"surrogate loss is not finite at iteration {t}: {loss!r}")
             trace.append((t, loss))
             if t >= config.window:
                 prev = trace[t - config.window][1]

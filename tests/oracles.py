@@ -110,40 +110,28 @@ def materialised_objective(down, up, down_hat, up_hat, l1_pos, l1_neg):
     return float(value)
 
 
-def reference_run(layer, cfg):
-    """The surrogate fit as a plain loop over nodes, stepped one at a time.
+def worst_single_entry_move(down, up, down_hat, up_hat, l1_pos, l1_neg, block):
+    """Largest relative drop of `materialised_objective` from moving one entry.
 
-    Iteration t steps nodes 0..d-1 in turn on the positive branch when t is
-    even and on the negative branch when t is odd.  Node i's step is the
-    minimal-norm subgradient of its branch loss, applied to all of `down`
-    and to its own up-row; the loss is `materialised_objective`.  `layer`
-    needs `down` and `up`, `cfg` the `OptimConfig` fields.  Returns (down,
-    up, trace, converged_at); the trace runs on past a non-finite loss.
+    Every entry of the `block` ("down" or "up") surrogate matrix is moved on
+    its own to 0, to the layer's value and by +-1e-6 of itself.  Returns the
+    largest (before - after) / before over those moves, or 0.0 when the
+    objective is 0; a block minimiser gives at most rounding.
     """
-    down, up = layer.down, layer.up
-    down_hat, up_hat = down.copy(), up.copy()
-
-    def value():
-        return materialised_objective(down, up, down_hat, up_hat, cfg.l1_pos, cfg.l1_neg)
-
-    trace = [(0, value())]
-    for t in range(1, cfg.iterations + 1):
-        sign, l1 = (1.0, cfg.l1_pos) if t % 2 == 0 else (-1.0, cfg.l1_neg)
-        parts_hat = np.maximum(sign * up_hat, 0.0)
-        parts_ref = np.maximum(sign * up, 0.0)
-        for node in range(up.shape[0]):
-            scale = parts_hat[node][:, None]
-            g_hat = scale * down_hat
-            pull = g_hat - parts_ref[node][:, None] * down + l1 * np.sign(g_hat)
-            d_row = sign * np.where(parts_hat[node] > 0.0, (pull * down_hat).sum(axis=1), 0.0)
-            down_hat -= cfg.lr * (scale * pull)
-            up_hat[node] -= cfg.lr * d_row
-        trace.append((t, value()))
-        if t >= cfg.window:
-            prev = trace[t - cfg.window][1]
-            if abs(trace[-1][1] - prev) / max(abs(prev), 1e-300) < cfg.tol:
-                return down_hat, up_hat, trace, t
-    return down_hat, up_hat, trace, None
+    down_hat = np.array(down_hat, dtype=np.float64)
+    up_hat = np.array(up_hat, dtype=np.float64)
+    moved, ref = (down_hat, down) if block == "down" else (up_hat, up)
+    before = materialised_objective(down, up, down_hat, up_hat, l1_pos, l1_neg)
+    worst = 0.0
+    for idx in np.ndindex(moved.shape):
+        value = moved[idx]
+        for target in (0.0, ref[idx], value * (1.0 + 1e-6), value * (1.0 - 1e-6)):
+            moved[idx] = target
+            after = materialised_objective(down, up, down_hat, up_hat, l1_pos, l1_neg)
+            if before > 0.0:
+                worst = max(worst, (before - after) / before)
+        moved[idx] = value
+    return worst
 
 
 def reference_train(feature_map, down, up, head_w, head_b, x, y, steps, lr, batch, seed):

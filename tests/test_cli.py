@@ -2,13 +2,13 @@ import csv
 import json
 import multiprocessing
 import xml.etree.ElementTree as ET
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tropiprune import cli, harness
+from tropiprune import AdapterLayer, cli, harness
 from tropiprune.bundle import load_bundle
 from tropiprune.cli import main
 from tropiprune.errors import NumericError
@@ -352,22 +352,40 @@ def test_prune_missing_bundle_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_prune_divergence_exits_4(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"optim.lr": 1e9, "optim.iterations": 200})
-    assert main(["train", "--config", str(cfg)]) == 0
-    bundle = tmp_path / "run" / "bundle.json"
-    assert main(["prune", "--bundle", str(bundle), "--config", str(cfg)]) == 4
-    assert "diverged" in capsys.readouterr().err
+#: What prune and sweep print when the adapter's generators overflow: the
+#: fit's starting loss is not finite.
+NON_FINITE_FIT = "numeric failure: surrogate loss is not finite at iteration 0: nan\n"
 
 
-def test_sweep_divergence_exits_4(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"optim.lr": 1e9, "optim.iterations": 200,
-                                  "task.n_train": 300, "train.steps": 200})
+def test_prune_divergence_exits_4(tmp_path, capsys, trained_bundle):
+    doc = json.loads(trained_bundle.read_text())
+    for key in ("adapter0.down", "adapter0.up"):
+        doc["tensors"][key] = (1e160 * np.array(doc["tensors"][key])).tolist()
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc))
+    for iterations in (0, 60):
+        cfg = write_config(tmp_path, {"optim.iterations": iterations})
+        assert main(["prune", "--bundle", str(huge), "--config", str(cfg)]) == 4
+        assert capsys.readouterr().err == NON_FINITE_FIT
+        assert not (tmp_path / "run" / "trace_layer0.json").exists()
+
+
+def test_sweep_divergence_exits_4(tmp_path, capfd, monkeypatch):
+    # forked workers run the patched cli.train; capfd also sees their stderr
+    def train_huge(model, data, **keys):
+        result = harness.train(model, data, **keys)
+        adapter = result.model.adapter
+        huge = AdapterLayer(1e160 * adapter.down, 1e160 * adapter.up)
+        return replace(result, model=replace(result.model, adapter=huge))
+
+    monkeypatch.setattr(cli, "train", train_huge)
+    cfg = write_config(tmp_path, {"task.n_train": 300, "train.steps": 50,
+                                  "sweep": {"seeds": [0, 1]}})
     out_csv = tmp_path / "results.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(out_csv)]) == 4
-    assert "diverged" in capsys.readouterr().err
+    assert capfd.readouterr().err == NON_FINITE_FIT
     assert not out_csv.exists()
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])

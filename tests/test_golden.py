@@ -4,10 +4,13 @@ Bundles, `report.json` and the loss trace are byte-identical contracts: a
 change to the bundle writer, the fit or the masks that moves one byte of them
 fails here.  The digests were taken with the `json.dumps(doc, indent=1,
 sort_keys=True)` bundle writer that `tests/oracles.py:bundle_json` keeps.
-The surrogate's `optimized.json` and `trace_layer0.json` were last pinned
-when the fit began composing each iteration's node steps in closed form; the
-per-node loop they replace agrees with them to 1e-12 relative
-(`test_optimizer.test_run_matches_reference_loop`).
+The surrogate's `optimized.json` and `trace_layer0.json`, `report.json` and
+the pruned bundles at p > 0 were last pinned when the fit became exact
+block-coordinate descent; `test_optimizer.test_run_blocks_are_exact_minimisers`
+checks each block update against the objective's definition.  At this
+config's l1 = 0.1 the fit's optimum keeps only one `down` entry and three `up`
+entries.  At p = 0.3 five of the six masks then prune at most one entry that
+is already 0, and those bundles equal `train/bundle.json`.
 """
 
 import hashlib
@@ -27,47 +30,47 @@ GOLDEN_CONFIG = {
 
 GOLDEN = {
     "prune/optimized.json":
-        "11fca315927d247f589c75e43aabf9391028cf0d9e7d4d3dc59038fe414e529b",
+        "7441961a605457b3144125af3a1b473fbfb67b5b8a29c94c92a8c017e338ac1d",
     "prune/pruned_standard_CB_p000.json":
         "932b8a4bcae34b2c94cef01c8e05d4c13e5d854da3c0f316c96fa5a7dfd33da0",
     "prune/pruned_standard_CB_p030.json":
-        "5a035ff628714bd73c960b31ab0442998de1df4ac197b4c3cef9b748b1a85808",
+        "932b8a4bcae34b2c94cef01c8e05d4c13e5d854da3c0f316c96fa5a7dfd33da0",
     "prune/pruned_standard_CB_p060.json":
-        "26955cf2e73acf47324935caec00b20381069f449571e92753afaee9205c3389",
+        "af70a98555eb89f0b51836eaa8acd49e0e51448bcedaa825954831aa8b624f51",
     "prune/pruned_standard_CN_p000.json":
         "932b8a4bcae34b2c94cef01c8e05d4c13e5d854da3c0f316c96fa5a7dfd33da0",
     "prune/pruned_standard_CN_p030.json":
-        "7c0e808b45d9d96b6ee3c2255be053e4f2d436551a235a3d166d9d7ba5eb8f0f",
+        "932b8a4bcae34b2c94cef01c8e05d4c13e5d854da3c0f316c96fa5a7dfd33da0",
     "prune/pruned_standard_CN_p060.json":
-        "4d1e51b8cacca0f92c1423727bf4202667a5b9f485744addc592b9d9745628a8",
+        "c2d605042531f4bae293c8f2c58788b7bcfb7f806558b4007f451942a1d0945d",
     "prune/pruned_standard_CU_p000.json":
         "932b8a4bcae34b2c94cef01c8e05d4c13e5d854da3c0f316c96fa5a7dfd33da0",
     "prune/pruned_standard_CU_p030.json":
-        "5a035ff628714bd73c960b31ab0442998de1df4ac197b4c3cef9b748b1a85808",
+        "932b8a4bcae34b2c94cef01c8e05d4c13e5d854da3c0f316c96fa5a7dfd33da0",
     "prune/pruned_standard_CU_p060.json":
-        "26955cf2e73acf47324935caec00b20381069f449571e92753afaee9205c3389",
+        "af70a98555eb89f0b51836eaa8acd49e0e51448bcedaa825954831aa8b624f51",
     "prune/pruned_tropical_CB_p000.json":
         "932b8a4bcae34b2c94cef01c8e05d4c13e5d854da3c0f316c96fa5a7dfd33da0",
     "prune/pruned_tropical_CB_p030.json":
-        "60212d09612b6bf07ea3535ca7a08aed41839be02cc9ca098b89fde131915790",
+        "932b8a4bcae34b2c94cef01c8e05d4c13e5d854da3c0f316c96fa5a7dfd33da0",
     "prune/pruned_tropical_CB_p060.json":
-        "26955cf2e73acf47324935caec00b20381069f449571e92753afaee9205c3389",
+        "f3db7e89dda6709797185553729d2938e986e58decdf61809f33b952f2b9d5a8",
     "prune/pruned_tropical_CN_p000.json":
         "932b8a4bcae34b2c94cef01c8e05d4c13e5d854da3c0f316c96fa5a7dfd33da0",
     "prune/pruned_tropical_CN_p030.json":
-        "fcf39e906735f30c4a6113854d433ac1641efdb7a2d5e696624a1034024705af",
+        "7057d18e425160398edfc4a1aa4c09bd66b76d3b216b3aa3d1446de95b175740",
     "prune/pruned_tropical_CN_p060.json":
-        "bf43a7e30a2f9204fce05790d3b10440071326c06b45d313591489a21478e1bb",
+        "73c3d316ec8c035a8e7b3d76d75fef2696abd43bcb7d0f0a3c32078d27bc0236",
     "prune/pruned_tropical_CU_p000.json":
         "932b8a4bcae34b2c94cef01c8e05d4c13e5d854da3c0f316c96fa5a7dfd33da0",
     "prune/pruned_tropical_CU_p030.json":
-        "60212d09612b6bf07ea3535ca7a08aed41839be02cc9ca098b89fde131915790",
+        "932b8a4bcae34b2c94cef01c8e05d4c13e5d854da3c0f316c96fa5a7dfd33da0",
     "prune/pruned_tropical_CU_p060.json":
-        "26955cf2e73acf47324935caec00b20381069f449571e92753afaee9205c3389",
+        "f3db7e89dda6709797185553729d2938e986e58decdf61809f33b952f2b9d5a8",
     "prune/report.json":
-        "f948a436b375f780fbbb8bf3933781b000a5a560ebc473549b23dbdffe257349",
+        "7549ad301542791aa6d8ed6fecb1e99616343e9d9ae506cf3e0279f95ac14da2",
     "prune/trace_layer0.json":
-        "71cdb4626cfa243491aaf1c186a6e04f961c103bbd925adba58648c84f013b1a",
+        "e68ed03b113bb2b41b6b8ba81529c9cb36cbca77df4fc86ed298112bdf2054f5",
     "train/bundle.json":
         "932b8a4bcae34b2c94cef01c8e05d4c13e5d854da3c0f316c96fa5a7dfd33da0",
 }
