@@ -17,9 +17,10 @@ import numpy as np
 
 from .adapter import AdapterLayer, forward, merge_bias
 from .errors import NumericError
-from .optimizer import OptimConfig, run
+from .optimizer import OptimConfig, OptimResult, run_stack
 from .strategies import PruneScope, apply_mask, combined_select, prune_grid
-# Not called here; bench/tracing.py looks both names up on this module.
+# Not called here; bench/tracing.py looks these names up on this module.
+from .optimizer import run  # noqa: F401
 from .strategies import standard_mask, tropical_mask  # noqa: F401
 
 TASK_KINDS = ("blobs", "moons", "xor_grid")
@@ -154,17 +155,19 @@ def logits(model: TinyModel, x: np.ndarray) -> np.ndarray:
     return adapted @ model.head_w.T + model.head_b
 
 
-def _softmax_xent(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Softmax probabilities and the mean cross entropy of the labels y.
+def _softmax_xent(z: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax probabilities and each member's mean cross entropy of its labels.
 
-    The loss is logsumexp(shifted) - shifted[y] on max-shifted logits: the
-    shifted exponentials sum to at least 1 and shifted[y] <= 0, so it never
-    goes negative, not even once a batch is classified with probability 1.
+    z holds (S, batch, classes) logits and `labels` the flat position of
+    each row's label logit in z.  The loss is logsumexp(shifted) - shifted[y]
+    on max-shifted logits: the shifted exponentials sum to at least 1 and
+    shifted[y] <= 0, so it never goes negative, not even once a batch is
+    classified with probability 1.
     """
-    shifted = z - z.max(axis=1, keepdims=True)
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    total = e.sum(axis=1, keepdims=True)
-    loss = float((np.log(total[:, 0]) - shifted[np.arange(len(y)), y]).sum() / len(y))
+    total = e.sum(axis=-1, keepdims=True)
+    loss = (np.log(total[..., 0]) - shifted.take(labels)).sum(axis=-1) / z.shape[-2]
     return e / total, loss
 
 
@@ -174,65 +177,122 @@ class TrainResult:
     losses: tuple[float, ...]
 
 
+#: Batch indices drawn at once per member, in whole steps.  Drawing a run's
+#: indices in blocks gives the same stream as one draw for the whole run, and
+#: the memory they take stays fixed however many steps the run has.
+_INDEX_BLOCK = 1 << 15
+
+
+def _batches(rngs: list[np.random.Generator], sizes: list[int], steps: int, batch: int):
+    """Each step's (S, batch) row indices into the members' training rows, stacked."""
+    offsets = np.cumsum([0, *sizes[:-1]])[:, None]
+    block = max(1, _INDEX_BLOCK // batch)
+    for start in range(0, steps, block):
+        count = min(block, steps - start)
+        yield from np.stack([rng.integers(0, n, size=(count, batch))
+                             for rng, n in zip(rngs, sizes)], axis=1) + offsets
+
+
+def train_stack(models: Sequence[TinyModel], datas: Sequence[TaskData], seeds: Sequence[int],
+                steps: int = 2000, lr: float = 0.05,
+                batch: int = 32) -> list[TrainResult | NumericError]:
+    """Train every model as `train` does, in lockstep on one stack of same-shape models.
+
+    Model k trains on datas[k] with seed seeds[k].  Each numpy call of a
+    step serves the whole stack, so at small shapes, where per-call overhead
+    sets the time, S models train in little more than the time of one.
+    Entry k is bit for bit what train(models[k], datas[k], steps, lr, batch,
+    seeds[k]) returns, or the NumericError it raises; a member whose loss
+    turns non-finite no longer counts, and the run stops once every member
+    has failed.
+    """
+    if steps < 0 or not lr > 0 or batch <= 0:
+        raise ValueError("steps must be >= 0 and lr, batch positive")
+    if not len(models) == len(datas) == len(seeds):
+        raise ValueError("train_stack needs one data set and one seed per model")
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    down = np.stack([model.adapter.down for model in models])
+    up = np.stack([model.adapter.up for model in models])
+    head_w = np.stack([model.head_w for model in models])
+    head_b = np.stack([model.head_b for model in models])
+    features = [featurize(model, data.x_train) for model, data in zip(models, datas)]
+    # a stack of one trains on its features in place: at BERT-base width they
+    # take MBs, more than everything else a run holds
+    h_all = features[0] if len(features) == 1 else np.concatenate(features)
+    y_all = np.concatenate([data.y_train for data in datas])
+    stack, width = len(models), h_all.shape[1]
+    # every step gathers its rows into one buffer whose last column is the bias
+    aug = np.ones((stack, batch, width + 1))
+    h = aug[..., :width]
+    classes = head_w.shape[1]
+    # each step's rows as flat offsets into its (S, batch, classes) logits
+    row_starts = classes * np.arange(stack * batch).reshape(stack, batch)
+    bias = head_b[:, None, :]  # a view, so it follows head_b's in-place steps
+    losses = np.empty((steps, stack))
+    errors: list[NumericError | None] = [None] * stack
+    # a diverging run overflows before its loss turns non-finite; the
+    # NumericError below reports it, so numpy's own warnings stay quiet
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step, idx in enumerate(_batches(rngs, [len(f) for f in features], steps, batch)):
+            np.take(h_all, idx, axis=0, out=h)
+            labels = row_starts + y_all[idx]
+            pre = aug @ down.mT
+            hidden = np.maximum(pre, 0.0)
+            adapted = h + hidden @ up.mT
+            z = adapted @ head_w.mT + bias
+            dz, loss = _softmax_xent(z, labels)
+            losses[step] = loss
+            if not np.isfinite(loss).all():
+                for k in np.flatnonzero(~np.isfinite(loss)):
+                    if errors[k] is None:
+                        errors[k] = NumericError(
+                            f"training diverged at step {step}: {float(loss[k])!r}")
+                if None not in errors:
+                    break
+            dz.reshape(-1)[labels] -= 1.0
+            dz /= batch
+            d_head_w = dz.mT @ adapted
+            d_head_b = dz.sum(axis=-2)
+            d_adapted = dz @ head_w
+            d_up = d_adapted.mT @ hidden
+            d_hidden = (d_adapted @ up) * (pre > 0.0)
+            d_down = d_hidden.mT @ aug
+            down -= lr * d_down
+            up -= lr * d_up
+            head_w -= lr * d_head_w
+            head_b -= lr * d_head_b
+    outcomes: list[TrainResult | NumericError] = []
+    for k, model in enumerate(models):
+        if errors[k] is None and not all(np.all(np.isfinite(w[k]))
+                                         for w in (down, up, head_w, head_b)):
+            errors[k] = NumericError(
+                f"training diverged: non-finite weights after {steps} steps")
+        if errors[k] is not None:
+            outcomes.append(errors[k])
+            continue
+        trained = TinyModel(model.feature_map, AdapterLayer(down[k], up[k]), head_w[k],
+                            head_b[k])
+        outcomes.append(TrainResult(trained, tuple(losses[:, k].tolist())))
+    return outcomes
+
+
 def train(model: TinyModel, data: TaskData, steps: int = 2000, lr: float = 0.05,
           batch: int = 32, seed: int = 0) -> TrainResult:
     """Mini-batch SGD on softmax cross entropy over adapter and head only.
 
     Deterministic for a given seed; the featurizer is never touched.
     Returns the trained model together with the per-step batch losses.
+    This is `train_stack` on a stack of one.
 
     Raises:
         NumericError: at the first step whose loss is not finite, or when the
             last step leaves a non-finite weight, with numpy's overflow and
             invalid-value warnings silenced.
     """
-    if steps < 0 or not lr > 0 or batch <= 0:
-        raise ValueError("steps must be >= 0 and lr, batch positive")
-    rng = np.random.default_rng(seed)
-    down = model.adapter.down.copy()
-    up = model.adapter.up.copy()
-    head_w = model.head_w.copy()
-    head_b = model.head_b.copy()
-    h_all = featurize(model, data.x_train)
-    n, width = h_all.shape
-    y_all = data.y_train
-    # one draw for the whole run yields the same stream as one draw per step
-    batches = rng.integers(0, n, size=(steps, batch))
-    # every step gathers its rows into one buffer whose last column is the bias
-    aug = np.ones((batch, width + 1))
-    h = aug[:, :width]
-    rows = np.arange(batch)
-    losses: list[float] = []
-    # a diverging run overflows before its loss turns non-finite; the
-    # NumericError below reports it, so numpy's own warnings stay quiet
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step, idx in enumerate(batches):
-            np.take(h_all, idx, axis=0, out=h)
-            y = y_all[idx]
-            pre = aug @ down.T
-            hidden = np.maximum(pre, 0.0)
-            adapted = h + hidden @ up.T
-            z = adapted @ head_w.T + head_b
-            dz, loss = _softmax_xent(z, y)
-            if not math.isfinite(loss):
-                raise NumericError(f"training diverged at step {step}: {loss!r}")
-            losses.append(loss)
-            dz[rows, y] -= 1.0
-            dz /= batch
-            d_head_w = dz.T @ adapted
-            d_head_b = dz.sum(axis=0)
-            d_adapted = dz @ head_w
-            d_up = d_adapted.T @ hidden
-            d_hidden = (d_adapted @ up) * (pre > 0.0)
-            d_down = d_hidden.T @ aug
-            down -= lr * d_down
-            up -= lr * d_up
-            head_w -= lr * d_head_w
-            head_b -= lr * d_head_b
-    if not all(np.all(np.isfinite(w)) for w in (down, up, head_w, head_b)):
-        raise NumericError(f"training diverged: non-finite weights after {steps} steps")
-    trained = TinyModel(model.feature_map, AdapterLayer(down, up), head_w, head_b)
-    return TrainResult(trained, tuple(losses))
+    (outcome,) = train_stack([model], [data], [seed], steps, lr, batch)
+    if isinstance(outcome, NumericError):
+        raise outcome
+    return outcome
 
 
 def _macro_f1(y_true: np.ndarray, y_pred: np.ndarray, classes: int) -> float:
@@ -275,24 +335,10 @@ class SweepRecord:
     seed: int
 
 
-def sweep(model: TinyModel, task: SyntheticTask, fractions: Sequence[float],
-          scopes: Sequence[PruneScope], methods: Sequence[str],
-          optim: OptimConfig, metric: str = "accuracy",
-          data: TaskData | None = None) -> list[SweepRecord]:
-    """Prune the trained model over the full grid and score every cell.
-
-    The surrogate fit is deterministic and independent of the grid cell, so
-    it runs once per layer and is reused across fractions and scopes.
-    Records arrive in (fraction, scope, method) order with methods in the
-    canonical standard/tropical/combined sequence.
-    """
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; expected subset of {METHODS}")
-    if data is None:
-        data = generate_task(task)
+def _scored_grid(model: TinyModel, task: SyntheticTask, data: TaskData, fit: OptimResult,
+                 fractions: Sequence[float], scopes: Sequence[PruneScope],
+                 methods: Sequence[str], metric: str) -> list[SweepRecord]:
     originals = [model.adapter]
-    optimized = [run(layer, optim) for layer in originals]
 
     def scored(mask) -> tuple[float, float]:
         pruned = replace(model, adapter=apply_mask(originals, mask)[0])
@@ -300,7 +346,7 @@ def sweep(model: TinyModel, task: SyntheticTask, fractions: Sequence[float],
                 evaluate(pruned, data.x_test, data.y_test, metric))
 
     records: list[SweepRecord] = []
-    for p, scope, masks in prune_grid(originals, optimized, fractions, scopes):
+    for p, scope, masks in prune_grid(originals, [fit], fractions, scopes):
         cells = {m: (*scored(mask), achieved) for m, (mask, achieved) in masks.items()}
         winner = combined_select(cells["standard"][0], cells["tropical"][0])
         cells["combined"] = cells[winner]
@@ -310,3 +356,43 @@ def sweep(model: TinyModel, task: SyntheticTask, fractions: Sequence[float],
                 records.append(SweepRecord(task.kind, method, scope.value,
                                            float(p), achieved, dev, test, task.seed))
     return records
+
+
+def sweep_stack(models: Sequence[TinyModel], tasks: Sequence[SyntheticTask],
+                fractions: Sequence[float], scopes: Sequence[PruneScope],
+                methods: Sequence[str], optim: OptimConfig, metric: str = "accuracy",
+                datas: Sequence[TaskData] | None = None) -> list[list[SweepRecord]]:
+    """`sweep` of each model on its task, with every surrogate fitted in one stack.
+
+    Returns each model's records, in order.  The fits run as one `run_stack`,
+    then each model's grid is scored in turn; the error of the first model
+    whose fit or scoring fails is raised.
+    """
+    for m in methods:
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r}; expected subset of {METHODS}")
+    if datas is None:
+        datas = [generate_task(task) for task in tasks]
+    fits = run_stack([model.adapter for model in models], optim)
+    records = []
+    for model, task, data, fit in zip(models, tasks, datas, fits, strict=True):
+        if isinstance(fit, NumericError):
+            raise fit
+        records.append(_scored_grid(model, task, data, fit, fractions, scopes, methods, metric))
+    return records
+
+
+def sweep(model: TinyModel, task: SyntheticTask, fractions: Sequence[float],
+          scopes: Sequence[PruneScope], methods: Sequence[str],
+          optim: OptimConfig, metric: str = "accuracy",
+          data: TaskData | None = None) -> list[SweepRecord]:
+    """Prune the trained model over the full grid and score every cell.
+
+    The surrogate fit is deterministic and independent of the grid cell, so
+    it runs once per layer and is reused across fractions and scopes.
+    Records arrive in (fraction, scope, method) order with methods in the
+    canonical standard/tropical/combined sequence.  This is `sweep_stack`
+    on a stack of one.
+    """
+    return sweep_stack([model], [task], fractions, scopes, methods, optim, metric,
+                       None if data is None else [data])[0]

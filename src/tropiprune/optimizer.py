@@ -16,16 +16,19 @@ no step size, and entries land on exact zeros.  An entry that is 0 in the
 layer stays exactly 0, in `down` and in `up`.
 
 Neither the objective nor an iteration forms the (d, r, d+1) generator
-stacks.  Every node scales the same down-projection rows, so both reduce to
+tensors.  Every node scales the same down-projection rows, so both reduce to
 per-row sums over the nodes' signed parts: O(d*r) time and memory.
-`subgradient` and `branch_loss` give one node's branch loss and its
-minimal-norm subgradient; the fit itself does not use them.
+`run_stack` fits several same-shape layers in lockstep on a leading stack
+axis, and `run` is its stack of one.  `subgradient` and `branch_loss` give
+one node's branch loss and its minimal-norm subgradient; the fit itself
+does not use them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -116,20 +119,9 @@ def objective_value(layer: AdapterLayer, down_hat: np.ndarray, up_hat: np.ndarra
     down_hat = np.asarray(down_hat, dtype=np.float64)
     up_hat = np.asarray(up_hat, dtype=np.float64)
     _check_shapes(layer, down_hat, up_hat)
-    # row sums are taken with .sum() and both branches in one array: at toy
-    # shapes the per-call overhead of numpy is a visible share of the fit
-    delta = down_hat - layer.down
-    delta_sq = (delta * delta).sum(axis=1)
-    cross = (delta * layer.down).sum(axis=1)
-    ref_sq = (layer.down * layer.down).sum(axis=1)
-    hat_l1 = np.abs(down_hat).sum(axis=1)
-    part_hat = np.maximum(_BRANCH_SIGNS * up_hat, 0.0)
-    part_delta = part_hat - np.maximum(_BRANCH_SIGNS * layer.up, 0.0)
-    per_branch = (0.5 * ((part_hat * part_hat).sum(axis=1) @ delta_sq
-                         + 2.0 * ((part_hat * part_delta).sum(axis=1) @ cross)
-                         + (part_delta * part_delta).sum(axis=1) @ ref_sq)
-                  + (l1_pos, l1_neg) * (part_hat.sum(axis=1) @ hat_l1))
-    return float(per_branch.sum())
+    fixed = _Layers.of(layer.down, layer.up, l1_pos, l1_neg)
+    return float(_loss(fixed, np.array([l1_pos, l1_neg]), down_hat, _parts(up_hat),
+                       np.abs(down_hat).sum(axis=-1)))
 
 
 def branch_loss(layer: AdapterLayer, down_hat: np.ndarray, up_hat: np.ndarray,
@@ -164,9 +156,53 @@ def subgradient(layer: AdapterLayer, down_hat: np.ndarray, up_hat: np.ndarray,
     return scale * pull, d_up
 
 
-def _down_block(ref_down: np.ndarray, part_ref: np.ndarray, up_hat: np.ndarray,
-                l1: np.ndarray, down_hat: np.ndarray) -> np.ndarray:
-    """The exact minimiser over `down` with `up_hat` fixed.
+class _Layers(NamedTuple):
+    """Layers, on a leading stack axis or none, with the terms every iteration reuses."""
+
+    down: np.ndarray     # (..., r, d+1)
+    down_sq: np.ndarray  # (..., r): each down row's squared norm
+    parts: np.ndarray    # (..., 2, d, r): both branches' parts of up
+    up_size: np.ndarray  # (..., d, r): |up|
+    up_sign: np.ndarray  # (..., d, r): sign(up)
+    l1_up: np.ndarray    # (..., d, r): the penalty of each up entry's branch
+
+    @classmethod
+    def of(cls, down: np.ndarray, up: np.ndarray, l1_pos: float, l1_neg: float) -> "_Layers":
+        return cls(down, (down * down).sum(axis=-1), _parts(up), np.abs(up), np.sign(up),
+                   np.where(up > 0.0, l1_pos, l1_neg))
+
+    def take(self, keep: list[int]) -> "_Layers":
+        return _Layers(*(term[keep] for term in self))
+
+
+def _parts(up_hat: np.ndarray) -> np.ndarray:
+    """Both branches' parts of `up_hat`, on a new axis before its last two."""
+    return np.maximum(_BRANCH_SIGNS * up_hat[..., None, :, :], 0.0)
+
+
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (m @ v[..., None])[..., 0]
+
+
+def _loss(fixed: _Layers, l1: np.ndarray, down_hat: np.ndarray, part_hat: np.ndarray,
+          hat_l1: np.ndarray) -> np.ndarray:
+    """objective_value of each surrogate, given its up parts and down row L1 norms."""
+    # row sums are taken with .sum() and both branches in one array: at toy
+    # shapes the per-call overhead of numpy is a visible share of the fit
+    delta = down_hat - fixed.down
+    delta_sq = (delta * delta).sum(axis=-1)
+    cross = (delta * fixed.down).sum(axis=-1)
+    part_delta = part_hat - fixed.parts
+    per_branch = (0.5 * (_matvec((part_hat * part_hat).sum(axis=-2), delta_sq)
+                         + 2.0 * _matvec((part_hat * part_delta).sum(axis=-2), cross)
+                         + _matvec((part_delta * part_delta).sum(axis=-2), fixed.down_sq))
+                  + l1 * _matvec(part_hat.sum(axis=-2), hat_l1))
+    return per_branch.sum(axis=-1)
+
+
+def _down_block(fixed: _Layers, l1: np.ndarray, down_hat: np.ndarray,
+                part_hat: np.ndarray) -> np.ndarray:
+    """The exact minimiser over `down` with `up_hat`, whose parts are `part_hat`, fixed.
 
     Entry (j, k) solves 0.5*S2_j*x^2 - S1_j*D_jk*x + L_j*|x| on its own, with
     S2_j = sum_i ph_ij^2, S1_j = sum_i ph_ij*p_ij and L_j = sum_i l1*ph_ij
@@ -176,17 +212,15 @@ def _down_block(ref_down: np.ndarray, part_ref: np.ndarray, up_hat: np.ndarray,
     row whose parts ph_ij are all 0 (S2_j = 0) leaves the objective flat in
     x and keeps its value.
     """
-    part_hat = np.maximum(_BRANCH_SIGNS * up_hat, 0.0)
-    s2 = (part_hat * part_hat).sum(axis=(0, 1))
-    gap = (part_hat * (part_hat - part_ref)).sum(axis=(0, 1))  # S2 - S1
-    thresh = (l1 @ part_hat.sum(axis=1) / s2)[:, None]
-    y = ref_down - (gap / s2)[:, None] * ref_down
-    return np.where((s2 > 0.0)[:, None], y - np.clip(y, -thresh, thresh), down_hat)
+    s2 = (part_hat * part_hat).sum(axis=(-3, -2))
+    gap = (part_hat * (part_hat - fixed.parts)).sum(axis=(-3, -2))  # S2 - S1
+    thresh = (l1 @ part_hat.sum(axis=-2) / s2)[..., None]
+    y = fixed.down - (gap / s2)[..., None] * fixed.down
+    return np.where((s2 > 0.0)[..., None], y - np.clip(y, -thresh, thresh), down_hat)
 
 
-def _up_block(ref_down: np.ndarray, ref_up: np.ndarray, l1_up: np.ndarray,
-              down_hat: np.ndarray) -> np.ndarray:
-    """The exact minimiser over `up` with `down_hat` fixed.
+def _up_block(fixed: _Layers, down_hat: np.ndarray, hat_l1: np.ndarray) -> np.ndarray:
+    """The exact minimiser over `up` with `down_hat`, whose row L1 norms are `hat_l1`, fixed.
 
     Entry (i, j) is max(0, p*c - l1*n)/a with the sign of the layer's entry,
     where p = |U_ij|, a = |Dh_j|^2, c = <Dh_j, D_j>, n = |Dh_j|_1 and l1 the
@@ -196,11 +230,73 @@ def _up_block(ref_down: np.ndarray, ref_up: np.ndarray, l1_up: np.ndarray,
     holds, and column j is set to 0, the minimal-norm minimiser.  Zeros
     are written as 0.0, never -0.0.
     """
-    a = (down_hat * down_hat).sum(axis=1)
-    gap = (down_hat * (down_hat - ref_down)).sum(axis=1)  # a - c
-    size = np.abs(ref_up)
-    shrunk = size - (size * gap + l1_up * np.abs(down_hat).sum(axis=1)) / a
-    return np.where((a > 0.0) & (shrunk > 0.0), np.sign(ref_up) * shrunk, 0.0)
+    a = (down_hat * down_hat).sum(axis=-1)[..., None, :]
+    gap = (down_hat * (down_hat - fixed.down)).sum(axis=-1)[..., None, :]  # a - c
+    size = fixed.up_size
+    shrunk = size - (size * gap + fixed.l1_up * hat_l1[..., None, :]) / a
+    return np.where((a > 0.0) & (shrunk > 0.0), fixed.up_sign * shrunk, 0.0)
+
+
+def _result(down_hat: np.ndarray, up_hat: np.ndarray, trace: list,
+            converged_at: int | None) -> OptimResult:
+    down_hat.flags.writeable = False
+    up_hat.flags.writeable = False
+    return OptimResult(down_hat, up_hat, tuple(trace), converged_at)
+
+
+def run_stack(layers: Sequence[AdapterLayer],
+              config: OptimConfig) -> list[OptimResult | NumericError]:
+    """Fit every layer as `run` does, in lockstep on one stack of same-shape layers.
+
+    Each numpy call of an iteration serves the whole stack, so at small
+    shapes, where per-call overhead sets the time, S layers fit in little
+    more than the time of one.  Entry k is bit for bit what run(layers[k],
+    config) returns, or the NumericError it raises, at the same iteration:
+    a layer stops on its own `tol` test or non-finite loss and is then left
+    out of the stack's later iterations.
+    """
+    l1 = np.array([config.l1_pos, config.l1_neg])
+    members = list(range(len(layers)))
+    outcomes: list[OptimResult | NumericError | None] = [None] * len(layers)
+    traces: list[list[tuple[int, float]]] = [[] for _ in layers]
+    with np.errstate(all="ignore"):
+        ref_up = np.stack([layer.up for layer in layers])
+        fixed = _Layers.of(np.stack([layer.down for layer in layers]), ref_up,
+                           config.l1_pos, config.l1_neg)
+        down_hat, up_hat, part_hat = fixed.down, ref_up, fixed.parts
+        hat_l1 = np.abs(down_hat).sum(axis=-1)
+        for t in range(config.iterations + 1):
+            if t:
+                down_hat = _down_block(fixed, l1, down_hat, part_hat)
+                hat_l1 = np.abs(down_hat).sum(axis=-1)
+                up_hat = _up_block(fixed, down_hat, hat_l1)
+                part_hat = _parts(up_hat)
+            stopped = []
+            losses = _loss(fixed, l1, down_hat, part_hat, hat_l1).tolist()
+            for k, (member, loss) in enumerate(zip(members, losses)):
+                trace = traces[member]
+                if not math.isfinite(loss):
+                    outcomes[member] = NumericError(
+                        f"surrogate loss is not finite at iteration {t}: {loss!r}")
+                    stopped.append(k)
+                    continue
+                trace.append((t, loss))
+                if t >= config.window:
+                    prev = trace[t - config.window][1]
+                    if abs(loss - prev) / max(abs(prev), 1e-300) < config.tol:
+                        outcomes[member] = _result(down_hat[k], up_hat[k], trace, t)
+                        stopped.append(k)
+            if stopped:
+                keep = [k for k in range(len(members)) if k not in stopped]
+                members = [members[k] for k in keep]
+                if not members:
+                    break
+                fixed = fixed.take(keep)
+                down_hat, up_hat = down_hat[keep], up_hat[keep]
+                part_hat, hat_l1 = part_hat[keep], hat_l1[keep]
+    for k, member in enumerate(members):
+        outcomes[member] = _result(down_hat[k], up_hat[k], traces[member], None)
+    return outcomes
 
 
 def run(layer: AdapterLayer, config: OptimConfig) -> OptimResult:
@@ -212,33 +308,15 @@ def run(layer: AdapterLayer, config: OptimConfig) -> OptimResult:
     minimiser with that `down` fixed (_up_block), and records the loss;
     iteration 0 records the starting loss.  Ties go two ways: a `down` row
     whose `up` column parts are all 0 keeps its value, and an `up` column
-    whose `down` row is all zero is set to 0.
+    whose `down` row is all zero is set to 0.  This is `run_stack` on a
+    stack of one.
 
     Raises:
         NumericError: at the first iteration, 0 included, whose loss is not
             finite; the whole fit runs with numpy's floating-point warnings
             silenced, so that error is the only report.
     """
-    l1 = np.array([config.l1_pos, config.l1_neg])
-    down_hat, up_hat = layer.down, layer.up
-    trace: list[tuple[int, float]] = []
-    converged_at: int | None = None
-    with np.errstate(all="ignore"):
-        part_ref = np.maximum(_BRANCH_SIGNS * layer.up, 0.0)
-        l1_up = np.where(layer.up > 0.0, config.l1_pos, config.l1_neg)
-        for t in range(config.iterations + 1):
-            if t:
-                down_hat = _down_block(layer.down, part_ref, up_hat, l1, down_hat)
-                up_hat = _up_block(layer.down, layer.up, l1_up, down_hat)
-            loss = objective_value(layer, down_hat, up_hat, config.l1_pos, config.l1_neg)
-            if not math.isfinite(loss):
-                raise NumericError(f"surrogate loss is not finite at iteration {t}: {loss!r}")
-            trace.append((t, loss))
-            if t >= config.window:
-                prev = trace[t - config.window][1]
-                if abs(loss - prev) / max(abs(prev), 1e-300) < config.tol:
-                    converged_at = t
-                    break
-    down_hat.flags.writeable = False
-    up_hat.flags.writeable = False
-    return OptimResult(down_hat, up_hat, tuple(trace), converged_at)
+    (outcome,) = run_stack([layer], config)
+    if isinstance(outcome, NumericError):
+        raise outcome
+    return outcome

@@ -371,14 +371,14 @@ def test_prune_divergence_exits_4(tmp_path, capsys, trained_bundle):
 
 
 def test_sweep_divergence_exits_4(tmp_path, capfd, monkeypatch):
-    # forked workers run the patched cli.train; capfd also sees their stderr
-    def train_huge(model, data, **keys):
-        result = harness.train(model, data, **keys)
-        adapter = result.model.adapter
-        huge = AdapterLayer(1e160 * adapter.down, 1e160 * adapter.up)
-        return replace(result, model=replace(result.model, adapter=huge))
+    # forked workers run the patched cli.train_stack; capfd also sees their stderr
+    def train_huge(models, datas, seeds, **keys):
+        results = harness.train_stack(models, datas, seeds, **keys)
+        huge = [AdapterLayer(1e160 * r.model.adapter.down, 1e160 * r.model.adapter.up)
+                for r in results]
+        return [replace(r, model=replace(r.model, adapter=a)) for r, a in zip(results, huge)]
 
-    monkeypatch.setattr(cli, "train", train_huge)
+    monkeypatch.setattr(cli, "train_stack", train_huge)
     cfg = write_config(tmp_path, {"task.n_train": 300, "train.steps": 50,
                                   "sweep": {"seeds": [0, 1]}})
     out_csv = tmp_path / "results.csv"
@@ -461,18 +461,42 @@ def test_sweep_rows_match_one_seed_sweeps(tmp_path, monkeypatch):
 
 
 def test_sweep_failing_seed_exits_4(tmp_path, capsys, monkeypatch):
-    # a forked worker runs the patched cli.train; seed s trains with seed s + 2
-    def train_or_fail(model, data, **keys):
-        if keys["seed"] == 1 + 2:
-            raise NumericError("training diverged for sweep seed 1")
-        return harness.train(model, data, **keys)
+    # a forked worker runs the patched cli.train_stack; seed s trains with seed s + 2
+    def train_or_fail(models, datas, seeds, **keys):
+        results = harness.train_stack(models, datas, seeds, **keys)
+        return [NumericError("training diverged for sweep seed 1") if seed == 1 + 2 else r
+                for seed, r in zip(seeds, results)]
 
-    monkeypatch.setattr(cli, "train", train_or_fail)
+    monkeypatch.setattr(cli, "train_stack", train_or_fail)
     cfg = write_config(tmp_path, {"task.n_train": 300, "train.steps": 50,
                                   "sweep": {"seeds": [0, 1, 2]}})
     out_csv = tmp_path / "results.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(out_csv)]) == 4
     assert capsys.readouterr().err == "numeric failure: training diverged for sweep seed 1\n"
+    assert not out_csv.exists()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweep_reports_first_failing_seed_across_stages(tmp_path, capsys, monkeypatch, cpus):
+    # seed 1's fit overflows and seed 2's training fails; with one CPU both
+    # seeds share a worker's stack, where seed 2 fails first
+    def init_or_break(*args, **keys):
+        model = harness.init_model(*args, **keys)
+        if keys["seed"] == 1 + 1:
+            adapter = model.adapter
+            return replace(model, adapter=AdapterLayer(1e160 * adapter.down, 1e160 * adapter.up))
+        if keys["seed"] == 2 + 1:
+            return replace(model, head_w=np.full(model.head_w.shape, np.inf))
+        return model
+
+    monkeypatch.setattr(cli, "init_model", init_or_break)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    cfg = write_config(tmp_path, {"task.n_train": 300, "train.steps": 0,
+                                  "sweep": {"seeds": [0, 1, 2]}})
+    out_csv = tmp_path / "results.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out_csv)]) == 4
+    assert capsys.readouterr().err == NON_FINITE_FIT
     assert not out_csv.exists()
     assert multiprocessing.active_children() == []
 
@@ -483,6 +507,8 @@ def test_unusable_out_dir_exits_2(tmp_path, capsys, monkeypatch, trained_bundle,
         raise AssertionError("work started before the output directory was checked")
 
     monkeypatch.setattr(cli, "train", forbidden)
+    monkeypatch.setattr(cli, "train_stack", forbidden)
+    monkeypatch.setattr(cli, "sweep_stack", forbidden)
     monkeypatch.setattr(cli, "run", forbidden)
     (tmp_path / "afile").write_text("")
     out = tmp_path / "afile" / "sub"

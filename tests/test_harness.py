@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tropiprune import OptimConfig, PruneScope, SyntheticTask, evaluate, generate_task, sweep
-from tropiprune.harness import TinyModel, _macro_f1, init_model, logits, train
+from tropiprune.errors import NumericError
+from tropiprune.harness import TinyModel, _macro_f1, init_model, logits, train, train_stack
 from tropiprune.strategies import apply_mask, standard_mask
 
 from oracles import reference_train
@@ -116,24 +119,75 @@ def test_train_is_deterministic():
     assert a.losses == b.losses
 
 
-@pytest.mark.parametrize("features,bottleneck,batch,steps", [
-    (16, 4, 32, 300), (256, 16, 7, 40), (768, 64, 33, 5)])
-def test_train_matches_per_step_reference_bitwise(features, bottleneck, batch, steps):
-    data = generate_task(SyntheticTask("blobs", n_train=300, n_dev=8, n_test=8, dim=8,
-                                       classes=3, noise=0.5, seed=features))
-    model = init_model(8, features, bottleneck, 3, seed=bottleneck)
-    # a head away from zero, so that every gradient path carries signal
-    model = TinyModel(model.feature_map, model.adapter,
-                      np.random.default_rng(1).normal(size=model.head_w.shape), model.head_b)
-    result = train(model, data, steps=steps, lr=0.05, batch=batch, seed=3)
-    down, up, head_w, head_b, losses = reference_train(
-        model.feature_map, model.adapter.down, model.adapter.up, model.head_w, model.head_b,
-        data.x_train, data.y_train, steps, 0.05, batch, 3)
+def reference_run(model, data, steps, batch, seed):
+    return reference_train(model.feature_map, model.adapter.down, model.adapter.up,
+                           model.head_w, model.head_b, data.x_train, data.y_train, steps,
+                           0.05, batch, seed)
+
+
+def assert_trained_like(result, reference):
+    down, up, head_w, head_b, losses = reference
     trained = result.model
     for have, want in ((trained.adapter.down, down), (trained.adapter.up, up),
                        (trained.head_w, head_w), (trained.head_b, head_b)):
         assert np.array_equal(have, want)
     assert list(result.losses) == losses
+
+
+@pytest.mark.parametrize("features,bottleneck,batch,steps", [
+    (16, 4, 32, 300), (256, 16, 7, 40), (768, 64, 33, 5)])
+def test_train_matches_per_step_reference_bitwise(features, bottleneck, batch, steps):
+    # train is a stack of one; a stack of three must give each member the
+    # same bits as training it alone
+    models, datas = [], []
+    for k in range(3):
+        datas.append(generate_task(SyntheticTask("blobs", n_train=300, n_dev=8, n_test=8,
+                                                 dim=8, classes=3, noise=0.5,
+                                                 seed=features + k)))
+        model = init_model(8, features, bottleneck, 3, seed=bottleneck + k)
+        # a head away from zero, so that every gradient path carries signal
+        models.append(TinyModel(model.feature_map, model.adapter,
+                                np.random.default_rng(1 + k).normal(size=model.head_w.shape),
+                                model.head_b))
+    result = train(models[0], datas[0], steps=steps, lr=0.05, batch=batch, seed=3)
+    assert_trained_like(result, reference_run(models[0], datas[0], steps, batch, 3))
+    stacked = train_stack(models, datas, [3, 4, 5], steps=steps, lr=0.05, batch=batch)
+    for k, member in enumerate(stacked):
+        assert_trained_like(member, reference_run(models[k], datas[k], steps, batch, 3 + k))
+
+
+def test_train_index_memory_is_fixed():
+    # 600 steps of 975 rows: one index draw for the whole run would take
+    # 4.7 MB.  The blocks hold 33 steps, an odd count of indices, and must
+    # still give the per-step reference's stream.
+    data = generate_task(SyntheticTask("blobs", n_train=100, n_dev=4, n_test=4, dim=2,
+                                       classes=2, seed=0))
+    model = init_model(2, 4, 1, 2, seed=1)
+    train(model, data, steps=2, batch=975, seed=2)
+    tracemalloc.start()
+    try:
+        result = train(model, data, steps=600, batch=975, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert_trained_like(result, reference_run(model, data, 600, 975, 2))
+
+
+def test_train_stack_members_fail_on_their_own():
+    # member 1's huge head diverges within a few steps; the others train on
+    data = generate_task(blobs_task())
+    models = [init_model(8, 16, 4, 3, seed=s) for s in (1, 2, 3)]
+    models[1] = TinyModel(models[1].feature_map, models[1].adapter,
+                          np.full(models[1].head_w.shape, 1e300), models[1].head_b)
+    outcomes = train_stack(models, [data] * 3, [4, 5, 6], steps=50)
+    with pytest.raises(NumericError, match="training diverged at step 1: nan") as alone:
+        train(models[1], data, steps=50, seed=5)
+    assert isinstance(outcomes[1], NumericError) and str(outcomes[1]) == str(alone.value)
+    for k in (0, 2):
+        alone = train(models[k], data, steps=50, seed=4 + k)
+        assert np.array_equal(outcomes[k].model.adapter.down, alone.model.adapter.down)
+        assert outcomes[k].losses == alone.losses
 
 
 def test_train_gradients_match_finite_differences():

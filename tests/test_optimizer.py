@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tropiprune import (AdapterLayer, OptimConfig, branch_loss, forward, init_model,
                         node_generators, objective_value, run, subgradient)
 from tropiprune.errors import NumericError
+from tropiprune.optimizer import run_stack
 
 from oracles import materialised_objective, worst_single_entry_move
 
@@ -411,3 +412,26 @@ def test_diverging_run_raises_without_numpy_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="not finite"):
                 run(huge_layer(down_scale, up_scale), OptimConfig(iterations=3))
+
+
+def test_run_stack_matches_one_layer_runs():
+    # each member stops on its own tol test or iteration cap, and the huge
+    # one fails at iteration 0 while the others finish
+    rng = np.random.default_rng(23)
+    layers = [random_layer(rng, d=6, r=3, scale=s) for s in (0.1, 0.5, 1.0, 2.0)]
+    layers.insert(2, huge_layer())
+    cfg = OptimConfig(iterations=7, l1_pos=0.05, l1_neg=0.02, tol=1e-12, window=5)
+    outcomes = run_stack(layers, cfg)
+    assert [getattr(o, "converged_at", "failed") for o in outcomes] == \
+        [6, None, "failed", None, 7]
+    with pytest.raises(NumericError) as alone:
+        run(layers[2], cfg)
+    assert str(outcomes[2]) == str(alone.value) == \
+        "surrogate loss is not finite at iteration 0: nan"
+    for layer, stacked in zip(layers, outcomes):
+        if layer is not layers[2]:
+            want = run(layer, cfg)
+            assert np.array_equal(stacked.down, want.down)
+            assert np.array_equal(stacked.up, want.up)
+            assert stacked.loss_trace == want.loss_trace
+            assert stacked.converged_at == want.converged_at
