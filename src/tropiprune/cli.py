@@ -3,7 +3,8 @@
 Every command reads a JSON config, runs deterministically for the seeds it is
 given, and writes its outputs atomically.  Exit codes: 0 success, 2 config
 error, 3 data error, 4 numeric failure.  An output directory that cannot be
-made is rejected (exit 2) before any work starts.
+made, or a `sweep --out` that names a directory, is rejected (exit 2) before
+any work starts.
 
 `sweep` splits its seeds into contiguous chunks, one per usable CPU and of
 at most MAX_STACK seeds each.  A forked worker trains its chunk's models as
@@ -352,6 +353,8 @@ def cmd_sweep(args) -> int:
     with _errors("sweep section" if env is None else SEED_ENV):
         tasks = [replace(task, seed=seed) for seed in seeds]
     _usable_dir(Path(args.out).parent, "--out")
+    if Path(args.out).is_dir():
+        raise ConfigError(f"bad --out: {args.out} is a directory")
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(CSV_HEADER)

@@ -270,8 +270,10 @@ def train_stack(models: Sequence[TinyModel], datas: Sequence[TaskData], seeds: S
         if errors[k] is not None:
             outcomes.append(errors[k])
             continue
-        trained = TinyModel(model.feature_map, AdapterLayer(down[k], up[k]), head_w[k],
-                            head_b[k])
+        # AdapterLayer copies its matrices; the head is copied here, so that no
+        # result holds a view of the whole stack
+        trained = TinyModel(model.feature_map, AdapterLayer(down[k], up[k]), head_w[k].copy(),
+                            head_b[k].copy())
         outcomes.append(TrainResult(trained, tuple(losses[:, k].tolist())))
     return outcomes
 
@@ -337,13 +339,13 @@ class SweepRecord:
 
 def _scored_grid(model: TinyModel, task: SyntheticTask, data: TaskData, fit: OptimResult,
                  fractions: Sequence[float], scopes: Sequence[PruneScope],
-                 methods: Sequence[str], metric: str) -> list[SweepRecord]:
+                 methods: Sequence[str]) -> list[SweepRecord]:
     originals = [model.adapter]
 
     def scored(mask) -> tuple[float, float]:
         pruned = replace(model, adapter=apply_mask(originals, mask)[0])
-        return (evaluate(pruned, data.x_dev, data.y_dev, metric),
-                evaluate(pruned, data.x_test, data.y_test, metric))
+        return (evaluate(pruned, data.x_dev, data.y_dev),
+                evaluate(pruned, data.x_test, data.y_test))
 
     records: list[SweepRecord] = []
     for p, scope, masks in prune_grid(originals, [fit], fractions, scopes):
@@ -360,9 +362,9 @@ def _scored_grid(model: TinyModel, task: SyntheticTask, data: TaskData, fit: Opt
 
 def sweep_stack(models: Sequence[TinyModel], tasks: Sequence[SyntheticTask],
                 fractions: Sequence[float], scopes: Sequence[PruneScope],
-                methods: Sequence[str], optim: OptimConfig, metric: str = "accuracy",
-                datas: Sequence[TaskData] | None = None) -> list[list[SweepRecord]]:
-    """`sweep` of each model on its task, with every surrogate fitted in one stack.
+                methods: Sequence[str], optim: OptimConfig,
+                datas: Sequence[TaskData]) -> list[list[SweepRecord]]:
+    """`sweep` of each model on its task and data, with every surrogate fitted in one stack.
 
     Returns each model's records, in order.  The fits run as one `run_stack`,
     then each model's grid is scored in turn; the error of the first model
@@ -371,22 +373,19 @@ def sweep_stack(models: Sequence[TinyModel], tasks: Sequence[SyntheticTask],
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; expected subset of {METHODS}")
-    if datas is None:
-        datas = [generate_task(task) for task in tasks]
     fits = run_stack([model.adapter for model in models], optim)
     records = []
     for model, task, data, fit in zip(models, tasks, datas, fits, strict=True):
         if isinstance(fit, NumericError):
             raise fit
-        records.append(_scored_grid(model, task, data, fit, fractions, scopes, methods, metric))
+        records.append(_scored_grid(model, task, data, fit, fractions, scopes, methods))
     return records
 
 
 def sweep(model: TinyModel, task: SyntheticTask, fractions: Sequence[float],
           scopes: Sequence[PruneScope], methods: Sequence[str],
-          optim: OptimConfig, metric: str = "accuracy",
-          data: TaskData | None = None) -> list[SweepRecord]:
-    """Prune the trained model over the full grid and score every cell.
+          optim: OptimConfig, data: TaskData) -> list[SweepRecord]:
+    """Prune the trained model over the full grid and score every cell on `data`.
 
     The surrogate fit is deterministic and independent of the grid cell, so
     it runs once per layer and is reused across fractions and scopes.
@@ -394,5 +393,4 @@ def sweep(model: TinyModel, task: SyntheticTask, fractions: Sequence[float],
     canonical standard/tropical/combined sequence.  This is `sweep_stack`
     on a stack of one.
     """
-    return sweep_stack([model], [task], fractions, scopes, methods, optim, metric,
-                       None if data is None else [data])[0]
+    return sweep_stack([model], [task], fractions, scopes, methods, optim, [data])[0]

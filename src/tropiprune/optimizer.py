@@ -19,9 +19,10 @@ Neither the objective nor an iteration forms the (d, r, d+1) generator
 tensors.  Every node scales the same down-projection rows, so both reduce to
 per-row sums over the nodes' signed parts: O(d*r) time and memory.
 `run_stack` fits several same-shape layers in lockstep on a leading stack
-axis, and `run` is its stack of one.  `subgradient` and `branch_loss` give
-one node's branch loss and its minimal-norm subgradient; the fit itself
-does not use them.
+axis, and `run` is its stack of one.  A layer that stops early stays on the
+stack until the last one stops, and each result copies its own slice.
+`subgradient` and `branch_loss` give one node's branch loss and its
+minimal-norm subgradient; the fit itself does not use them.
 """
 
 from __future__ import annotations
@@ -171,9 +172,6 @@ class _Layers(NamedTuple):
         return cls(down, (down * down).sum(axis=-1), _parts(up), np.abs(up), np.sign(up),
                    np.where(up > 0.0, l1_pos, l1_neg))
 
-    def take(self, keep: list[int]) -> "_Layers":
-        return _Layers(*(term[keep] for term in self))
-
 
 def _parts(up_hat: np.ndarray) -> np.ndarray:
     """Both branches' parts of `up_hat`, on a new axis before its last two."""
@@ -239,6 +237,8 @@ def _up_block(fixed: _Layers, down_hat: np.ndarray, hat_l1: np.ndarray) -> np.nd
 
 def _result(down_hat: np.ndarray, up_hat: np.ndarray, trace: list,
             converged_at: int | None) -> OptimResult:
+    """A member's outcome, holding its own copies, never views of the stack."""
+    down_hat, up_hat = down_hat.copy(), up_hat.copy()
     down_hat.flags.writeable = False
     up_hat.flags.writeable = False
     return OptimResult(down_hat, up_hat, tuple(trace), converged_at)
@@ -252,11 +252,11 @@ def run_stack(layers: Sequence[AdapterLayer],
     shapes, where per-call overhead sets the time, S layers fit in little
     more than the time of one.  Entry k is bit for bit what run(layers[k],
     config) returns, or the NumericError it raises, at the same iteration:
-    a layer stops on its own `tol` test or non-finite loss and is then left
-    out of the stack's later iterations.
+    a layer's outcome is fixed the first time it meets its own `tol` test
+    or its loss turns non-finite.  It then stays in the stack unread, and
+    the fit ends once every layer has an outcome or the iterations run out.
     """
     l1 = np.array([config.l1_pos, config.l1_neg])
-    members = list(range(len(layers)))
     outcomes: list[OptimResult | NumericError | None] = [None] * len(layers)
     traces: list[list[tuple[int, float]]] = [[] for _ in layers]
     with np.errstate(all="ignore"):
@@ -271,32 +271,23 @@ def run_stack(layers: Sequence[AdapterLayer],
                 hat_l1 = np.abs(down_hat).sum(axis=-1)
                 up_hat = _up_block(fixed, down_hat, hat_l1)
                 part_hat = _parts(up_hat)
-            stopped = []
             losses = _loss(fixed, l1, down_hat, part_hat, hat_l1).tolist()
-            for k, (member, loss) in enumerate(zip(members, losses)):
-                trace = traces[member]
+            for k, (trace, loss) in enumerate(zip(traces, losses)):
+                if outcomes[k] is not None:
+                    continue
                 if not math.isfinite(loss):
-                    outcomes[member] = NumericError(
+                    outcomes[k] = NumericError(
                         f"surrogate loss is not finite at iteration {t}: {loss!r}")
-                    stopped.append(k)
                     continue
                 trace.append((t, loss))
                 if t >= config.window:
                     prev = trace[t - config.window][1]
                     if abs(loss - prev) / max(abs(prev), 1e-300) < config.tol:
-                        outcomes[member] = _result(down_hat[k], up_hat[k], trace, t)
-                        stopped.append(k)
-            if stopped:
-                keep = [k for k in range(len(members)) if k not in stopped]
-                members = [members[k] for k in keep]
-                if not members:
-                    break
-                fixed = fixed.take(keep)
-                down_hat, up_hat = down_hat[keep], up_hat[keep]
-                part_hat, hat_l1 = part_hat[keep], hat_l1[keep]
-    for k, member in enumerate(members):
-        outcomes[member] = _result(down_hat[k], up_hat[k], traces[member], None)
-    return outcomes
+                        outcomes[k] = _result(down_hat[k], up_hat[k], trace, t)
+            if None not in outcomes:
+                break
+    return [_result(down_hat[k], up_hat[k], trace, None) if outcome is None else outcome
+            for k, (outcome, trace) in enumerate(zip(outcomes, traces))]
 
 
 def run(layer: AdapterLayer, config: OptimConfig) -> OptimResult:

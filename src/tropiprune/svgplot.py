@@ -28,10 +28,10 @@ def _svg(width: int, height: int, body: list[str]) -> str:
     return SVG_HEADER + "\n".join([open_tag, *body, "</svg>"]) + "\n"
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi == lo:
         return [lo]
-    return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+    return [lo + (hi - lo) * k / 4 for k in range(5)]
 
 
 def _fmt(v: float) -> str:
@@ -104,9 +104,8 @@ def loss_curve_svg(trace: Sequence[tuple[int, float]]) -> str:
     return _svg(width, height, body)
 
 
-def zonotope_overlay_svg(before: Polytope2D, after: Polytope2D,
-                         label_before: str = "before", label_after: str = "after") -> str:
-    """Two polygon outlines over a shared uniform scale, with a legend."""
+def zonotope_overlay_svg(before: Polytope2D, after: Polytope2D) -> str:
+    """Two polygon outlines over a shared uniform scale, with a before/after legend."""
     if not before.vertices or not after.vertices:
         raise ValueError("cannot plot empty polytopes")
     width = height = ZONOTOPE_SIZE
@@ -127,8 +126,7 @@ def zonotope_overlay_svg(before: Polytope2D, after: Polytope2D,
         body.append(f'<polygon points="{coords}" fill="{color}" fill-opacity="0.12" '
                     f'stroke="{color}" stroke-width="{_fmt(1.5 / scale)}"/>')
     body.append("</g>")
-    for i, (label, color) in enumerate(((label_before, BEFORE_COLOR),
-                                        (label_after, AFTER_COLOR))):
+    for i, (label, color) in enumerate((("before", BEFORE_COLOR), ("after", AFTER_COLOR))):
         ly = 20 + 18 * i
         body.append(f'<rect x="{width - 150}" y="{ly - 10}" width="12" height="12" '
                     f'fill="{color}" fill-opacity="0.5"/>')

@@ -219,8 +219,8 @@ def test_zonotope_svg_coincident_polygons():
 def test_zonotope_svg_legend_and_colors():
     before = convex_hull_2d([(0, 0), (2, 0), (2, 2), (0, 2)])
     after = convex_hull_2d([(0, 0), (1, 0), (1, 1), (0, 1)])
-    svg = zonotope_overlay_svg(before, after, "original", "optimized")
-    assert "original" in svg and "optimized" in svg
+    svg = zonotope_overlay_svg(before, after)
+    assert ">before</text>" in svg and ">after</text>" in svg
     root = ET.fromstring(svg)
     ns = "{http://www.w3.org/2000/svg}"
     strokes = {p.attrib["stroke"] for p in root.findall(f".//{ns}polygon")}

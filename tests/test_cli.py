@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tropiprune import AdapterLayer, cli, harness
+from tropiprune import AdapterLayer, cli, harness, optimizer
 from tropiprune.bundle import load_bundle
 from tropiprune.cli import main
 from tropiprune.errors import NumericError
@@ -442,14 +442,32 @@ def test_sweep_csv_contract(tmp_path):
     assert again.read_bytes() == out_csv.read_bytes()
 
 
-def test_sweep_rows_match_one_seed_sweeps(tmp_path, monkeypatch):
-    # the seeds run in worker processes; the rows still come in seed order,
-    # byte for byte those of one-seed sweeps
-    cfg = write_config(tmp_path, {"task.n_train": 300, "train.steps": 200,
+@pytest.mark.parametrize("tol", [0.0, 1e-3], ids=["tol0", "tol1e-3"])
+@pytest.mark.parametrize("cpus", [1, 3], ids=["cpus1", "cpus3"])
+def test_sweep_rows_match_one_seed_sweeps(tmp_path, monkeypatch, cpus, tol):
+    # the seeds run in worker processes, as one stack of three or three
+    # stacks of one; the rows still come in seed order, byte for byte those
+    # of one-seed sweeps.  At tol 1e-3 the seeds' fits stop at different
+    # iterations, so a stack holds members that stopped beside running ones.
+    stops = tmp_path / "stops.txt"
+
+    def run_stack_logged(layers, config):
+        outcomes = optimizer.run_stack(layers, config)
+        with stops.open("a") as log:  # forked workers append here
+            log.write("".join(f"{o.converged_at}\n" for o in outcomes))
+        return outcomes
+
+    monkeypatch.setattr(harness, "run_stack", run_stack_logged)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    cfg = write_config(tmp_path, {"task.n_train": 300, "train.steps": 200, "optim.tol": tol,
                                   "sweep": {"seeds": [0, 1, 2]}})
     out_csv = tmp_path / "results.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(out_csv)]) == 0
     assert multiprocessing.active_children() == []
+    converged = stops.read_text().split()
+    assert len(converged) == 3
+    if tol:
+        assert "None" not in converged and len(set(converged)) > 1
     expected = []
     for seed in (0, 1, 2):
         monkeypatch.setenv("TROPIPRUNE_SEED", str(seed))
@@ -501,15 +519,17 @@ def test_sweep_reports_first_failing_seed_across_stages(tmp_path, capsys, monkey
     assert multiprocessing.active_children() == []
 
 
+def forbid_work(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    for name in ("train", "train_stack", "sweep_stack", "run"):
+        monkeypatch.setattr(cli, name, forbidden)
+
+
 @pytest.mark.parametrize("command", ["train", "prune", "sweep"])
 def test_unusable_out_dir_exits_2(tmp_path, capsys, monkeypatch, trained_bundle, command):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("work started before the output directory was checked")
-
-    monkeypatch.setattr(cli, "train", forbidden)
-    monkeypatch.setattr(cli, "train_stack", forbidden)
-    monkeypatch.setattr(cli, "sweep_stack", forbidden)
-    monkeypatch.setattr(cli, "run", forbidden)
+    forbid_work(monkeypatch)
     (tmp_path / "afile").write_text("")
     out = tmp_path / "afile" / "sub"
     cfg = write_config(tmp_path, {"out.dir": str(out)})
@@ -520,6 +540,16 @@ def test_unusable_out_dir_exits_2(tmp_path, capsys, monkeypatch, trained_bundle,
     err = capsys.readouterr().err
     assert err.startswith("config error:") and f"{tmp_path / 'afile'} is not a directory" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
+
+
+def test_sweep_out_naming_a_directory_exits_2(tmp_path, capsys, monkeypatch):
+    forbid_work(monkeypatch)
+    out = tmp_path / "results.csv"
+    out.mkdir()
+    cfg = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: bad --out: {out} is a directory\n"
+    assert list(out.iterdir()) == []
 
 
 def test_plot_loss_from_prune_trace(tmp_path):

@@ -188,6 +188,10 @@ def test_train_stack_members_fail_on_their_own():
         alone = train(models[k], data, steps=50, seed=4 + k)
         assert np.array_equal(outcomes[k].model.adapter.down, alone.model.adapter.down)
         assert outcomes[k].losses == alone.losses
+        # each trained model owns its weights, not views of the whole stack
+        model = outcomes[k].model
+        for a in (model.adapter.down, model.adapter.up, model.head_w, model.head_b):
+            assert a.base is None or a.base.nbytes <= a.nbytes
 
 
 def test_train_gradients_match_finite_differences():

@@ -435,3 +435,6 @@ def test_run_stack_matches_one_layer_runs():
             assert np.array_equal(stacked.up, want.up)
             assert stacked.loss_trace == want.loss_trace
             assert stacked.converged_at == want.converged_at
+            # each result owns its matrices, not a view of the whole stack
+            for a in (stacked.down, stacked.up):
+                assert a.base is None or a.base.nbytes <= a.nbytes
