@@ -9,8 +9,10 @@ any work starts.
 `sweep` splits its seeds into contiguous chunks, one per usable CPU and of
 at most MAX_STACK seeds each.  A forked worker trains its chunk's models as
 one stack and fits their surrogates as one stack (`train_stack`,
-`run_stack`), then scores each seed's grid.  Rows are written in seed order,
-and the CSV is the same bytes as a one-CPU run.
+`run_stack`), then scores each seed's grid, one stack of masked adapters
+per fraction.  Rows are written in seed order, and the CSV is the same
+bytes as a one-CPU run.  The first failing chunk's error ends the sweep:
+chunks not yet handed to a worker are cancelled.
 
 Every config key is checked: an unknown section or key, or a malformed value,
 exits 2.  The `task`, `model`, `train` and `optim` keys are the keyword
@@ -49,10 +51,11 @@ SEED_ENV = "TROPIPRUNE_SEED"
 
 #: The most sweep seeds one worker trains and fits as one stack.  A stack
 #: shares each numpy call's overhead among its seeds.  At the README's 16x4
-#: shape the train and fit of one seed take 0.17 s alone, 0.067 s per seed in
-#: a stack of 4, 0.053 s in 8 and 0.041 s in 16 (2 CPUs, one BLAS thread).
-#: Past 8 little is left to gain, while every member adds a copy of its
-#: training features, 12 MB at 768 wide.
+#: shape the train and fit of one seed take 0.155 s alone, 0.060 s per seed in
+#: a stack of 4, 0.034 s in 8 and 0.030 s in 16 (best of 5; 2 CPUs, one BLAS
+#: thread, numpy 2.4); training is 97-98% of it, since each fit ends at its
+#: first repeated iterate.  Past 8 little is left to gain, while every member
+#: adds a copy of its training features, 12 MB at 768 wide.
 MAX_STACK = 8
 
 CSV_HEADER = ["task", "method", "scope", "p", "p_hat", "retained_pct",
@@ -178,6 +181,13 @@ def _usable_dir(path: Path, source: str) -> Path:
     if existing is not None and not existing.is_dir():
         raise ConfigError(f"bad {source}: {existing} is not a directory")
     return path
+
+
+def _out_file(out: str) -> None:
+    """Reject an --out whose directory cannot be one, or that names a directory."""
+    _usable_dir(Path(out).parent, "--out")
+    if Path(out).is_dir():
+        raise ConfigError(f"bad --out: {out} is a directory")
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -352,31 +362,35 @@ def cmd_sweep(args) -> int:
         seeds = [env]
     with _errors("sweep section" if env is None else SEED_ENV):
         tasks = [replace(task, seed=seed) for seed in seeds]
-    _usable_dir(Path(args.out).parent, "--out")
-    if Path(args.out).is_dir():
-        raise ConfigError(f"bad --out: {args.out} is a directory")
+    _out_file(args.out)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(CSV_HEADER)
     cpus = _usable_cpus()
     chunks = _chunks(tasks, cpus)
-    # map yields in seed order and re-raises the first failing chunk's error;
-    # leaving the block joins every worker, on success or failure
+    # map yields in seed order and re-raises the first failing chunk's error,
+    # and then the chunks not yet handed to a worker are cancelled; leaving
+    # the block joins every worker, on success or failure
     with ProcessPoolExecutor(min(len(chunks), cpus),
                              mp_context=multiprocessing.get_context("fork")) as pool:
         fit = partial(_sweep_chunk, cfg, fractions=fractions, scopes=scopes,
                       methods=methods, optim=optim)
-        for records in pool.map(fit, chunks):
-            for rec in records:
-                writer.writerow([rec.task, rec.method, rec.scope, repr(rec.p),
-                                 repr(rec.p_hat), repr(100.0 * (1.0 - rec.p_hat)),
-                                 repr(rec.dev_metric), repr(rec.test_metric), rec.seed])
+        try:
+            for records in pool.map(fit, chunks):
+                for rec in records:
+                    writer.writerow([rec.task, rec.method, rec.scope, repr(rec.p),
+                                     repr(rec.p_hat), repr(100.0 * (1.0 - rec.p_hat)),
+                                     repr(rec.dev_metric), repr(rec.test_metric), rec.seed])
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     write_text_atomic(args.out, buf.getvalue())
     print(args.out)
     return 0
 
 
 def cmd_plot_loss(args) -> int:
+    _out_file(args.out)
     doc = read_json(args.trace, "trace", DataError)
     if not isinstance(doc, dict) or not isinstance(doc.get("trace"), list):
         raise DataError('a trace file must hold {"trace": [[iteration, loss], ...]}')
@@ -402,6 +416,7 @@ def _node_polytope(bundle: WeightBundle, layer: int, node: int, dims: tuple[int,
 
 
 def cmd_plot_zonotope(args) -> int:
+    _out_file(args.out)
     dims = _parse_dims(args.dims)
     before = load_bundle(args.before)
     after = load_bundle(args.after)

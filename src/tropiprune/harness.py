@@ -9,8 +9,9 @@ scopes, and methods and report dev/test metrics per cell.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -18,13 +19,15 @@ import numpy as np
 from .adapter import AdapterLayer, forward, merge_bias
 from .errors import NumericError
 from .optimizer import OptimConfig, OptimResult, run_stack
-from .strategies import PruneScope, apply_mask, combined_select, prune_grid
+from .strategies import PruneScope, combined_select, prune_grid
 # Not called here; bench/tracing.py looks these names up on this module.
 from .optimizer import run  # noqa: F401
-from .strategies import standard_mask, tropical_mask  # noqa: F401
+from .strategies import apply_mask, standard_mask, tropical_mask  # noqa: F401
 
 TASK_KINDS = ("blobs", "moons", "xor_grid")
 METHODS = ("standard", "tropical", "combined")
+#: The methods with a mask of their own; `combined` picks one of their cells.
+_MASKED = ("tropical", "standard")
 
 
 @dataclass(frozen=True)
@@ -193,6 +196,12 @@ def _batches(rngs: list[np.random.Generator], sizes: list[int], steps: int, batc
                              for rng, n in zip(rngs, sizes)], axis=1) + offsets
 
 
+def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive views of `flat`, one of each shape in turn."""
+    bounds = np.cumsum([0] + [math.prod(shape) for shape in shapes])
+    return [flat[i:j].reshape(shape) for shape, i, j in zip(shapes, bounds, bounds[1:])]
+
+
 def train_stack(models: Sequence[TinyModel], datas: Sequence[TaskData], seeds: Sequence[int],
                 steps: int = 2000, lr: float = 0.05,
                 batch: int = 32) -> list[TrainResult | NumericError]:
@@ -211,10 +220,16 @@ def train_stack(models: Sequence[TinyModel], datas: Sequence[TaskData], seeds: S
     if not len(models) == len(datas) == len(seeds):
         raise ValueError("train_stack needs one data set and one seed per model")
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    down = np.stack([model.adapter.down for model in models])
-    up = np.stack([model.adapter.up for model in models])
-    head_w = np.stack([model.head_w for model in models])
-    head_b = np.stack([model.head_b for model in models])
+    # the trained tensors are views of one buffer, and their gradients of a
+    # matching one, so that one update per step moves them all
+    members = [(m.adapter.down, m.adapter.up, m.head_w, m.head_b) for m in models]
+    shapes = [(len(models), *w.shape) for w in members[0]]
+    params = np.empty(sum(math.prod(shape) for shape in shapes))
+    grads = np.empty_like(params)
+    down, up, head_w, head_b = tensors = _views(params, shapes)
+    d_down, d_up, d_head_w, d_head_b = _views(grads, shapes)
+    for tensor, weights in zip(tensors, zip(*members)):
+        np.stack(weights, out=tensor)
     features = [featurize(model, data.x_train) for model, data in zip(models, datas)]
     # a stack of one trains on its features in place: at BERT-base width they
     # take MBs, more than everything else a run holds
@@ -251,16 +266,13 @@ def train_stack(models: Sequence[TinyModel], datas: Sequence[TaskData], seeds: S
                     break
             dz.reshape(-1)[labels] -= 1.0
             dz /= batch
-            d_head_w = dz.mT @ adapted
-            d_head_b = dz.sum(axis=-2)
+            np.matmul(dz.mT, adapted, out=d_head_w)
+            dz.sum(axis=-2, out=d_head_b)
             d_adapted = dz @ head_w
-            d_up = d_adapted.mT @ hidden
+            np.matmul(d_adapted.mT, hidden, out=d_up)
             d_hidden = (d_adapted @ up) * (pre > 0.0)
-            d_down = d_hidden.mT @ aug
-            down -= lr * d_down
-            up -= lr * d_up
-            head_w -= lr * d_head_w
-            head_b -= lr * d_head_b
+            np.matmul(d_hidden.mT, aug, out=d_down)
+            params -= lr * grads
     outcomes: list[TrainResult | NumericError] = []
     for k, model in enumerate(models):
         if errors[k] is None and not all(np.all(np.isfinite(w[k]))
@@ -308,21 +320,44 @@ def _macro_f1(y_true: np.ndarray, y_pred: np.ndarray, classes: int) -> float:
     return float(np.mean(scores))
 
 
-def evaluate(model: TinyModel, x: np.ndarray, y: np.ndarray,
-             metric: str = "accuracy") -> float:
-    if len(y) == 0:
-        raise ValueError("cannot evaluate an empty split")
+def _stack_logits(model: TinyModel, down: np.ndarray, up: np.ndarray,
+                  h: np.ndarray) -> np.ndarray:
+    """(K, n, classes) logits of `model` with adapter k = (down[k], up[k]) in its place.
+
+    h holds n featurized rows.  Slice k is bit for bit `logits` of that
+    model: every product is the same one, in the same order.
+    """
+    aug = np.hstack([h, np.ones((len(h), 1))])
+    out = np.maximum(aug @ down.mT, 0.0) @ up.mT
+    if model.adapter.up_bias is not None:
+        out = out + model.adapter.up_bias
+    return (out + h) @ model.head_w.T + model.head_b
+
+
+def _stack_scores(model: TinyModel, down: np.ndarray, up: np.ndarray, h: np.ndarray,
+                  y: np.ndarray, metric: str) -> list[float]:
+    """`evaluate` of `model` with each adapter of the stack in its place, on featurized rows."""
     # huge but finite weights overflow here; the NumericError reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        z = logits(model, x)
+        z = _stack_logits(model, down, up, h)
     if not np.all(np.isfinite(z)):
         raise NumericError("evaluation produced non-finite logits")
-    preds = np.argmax(z, axis=1)
+    preds = np.argmax(z, axis=-1)
     if metric == "accuracy":
-        return float(np.mean(preds == y))
+        return np.mean(preds == y, axis=-1).tolist()
     if metric == "macro_f1":
-        return _macro_f1(np.asarray(y), preds, model.classes)
+        return [_macro_f1(np.asarray(y), row, model.classes) for row in preds]
     raise ValueError(f"unknown metric {metric!r}")
+
+
+def evaluate(model: TinyModel, x: np.ndarray, y: np.ndarray,
+             metric: str = "accuracy") -> float:
+    """The model's accuracy or macro-F1 on (x, y); `_stack_scores` of a stack of one."""
+    if len(y) == 0:
+        raise ValueError("cannot evaluate an empty split")
+    adapter = model.adapter
+    return _stack_scores(model, adapter.down[None], adapter.up[None], featurize(model, x), y,
+                         metric)[0]
 
 
 @dataclass(frozen=True)
@@ -340,23 +375,31 @@ class SweepRecord:
 def _scored_grid(model: TinyModel, task: SyntheticTask, data: TaskData, fit: OptimResult,
                  fractions: Sequence[float], scopes: Sequence[PruneScope],
                  methods: Sequence[str]) -> list[SweepRecord]:
-    originals = [model.adapter]
+    """Every cell's records, each split featurized once and each fraction scored as one stack.
 
-    def scored(mask) -> tuple[float, float]:
-        pruned = replace(model, adapter=apply_mask(originals, mask)[0])
-        return (evaluate(pruned, data.x_dev, data.y_dev),
-                evaluate(pruned, data.x_test, data.y_test))
-
+    A fraction's stack holds each scope's tropical and standard adapter, in
+    grid order, with the masks applied as `apply_mask` applies them.
+    """
+    adapter = model.adapter
+    splits = [(featurize(model, data.x_dev), data.y_dev),
+              (featurize(model, data.x_test), data.y_test)]
+    grid = prune_grid([adapter], [fit], fractions, scopes)
     records: list[SweepRecord] = []
-    for p, scope, masks in prune_grid(originals, [fit], fractions, scopes):
-        cells = {m: (*scored(mask), achieved) for m, (mask, achieved) in masks.items()}
-        winner = combined_select(cells["standard"][0], cells["tropical"][0])
-        cells["combined"] = cells[winner]
-        for method in METHODS:
-            if method in methods:
-                dev, test, achieved = cells[method]
-                records.append(SweepRecord(task.kind, method, scope.value,
-                                           float(p), achieved, dev, test, task.seed))
+    for _ in fractions:
+        cells = list(itertools.islice(grid, len(scopes)))
+        pairs = [masks[m][0].entries[0] for _, _, masks in cells for m in _MASKED]
+        down = np.where(np.stack([d for d, _ in pairs]), 0.0, adapter.down)
+        up = np.where(np.stack([u for _, u in pairs]), 0.0, adapter.up)
+        dev, test = (iter(_stack_scores(model, down, up, h, y, "accuracy")) for h, y in splits)
+        for p, scope, masks in cells:
+            scored = {m: (next(dev), next(test), masks[m][1]) for m in _MASKED}
+            scored["combined"] = scored[combined_select(scored["standard"][0],
+                                                        scored["tropical"][0])]
+            for method in METHODS:
+                if method in methods:
+                    dev_metric, test_metric, achieved = scored[method]
+                    records.append(SweepRecord(task.kind, method, scope.value, float(p),
+                                               achieved, dev_metric, test_metric, task.seed))
     return records
 
 

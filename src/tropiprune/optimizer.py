@@ -21,6 +21,15 @@ per-row sums over the nodes' signed parts: O(d*r) time and memory.
 `run_stack` fits several same-shape layers in lockstep on a leading stack
 axis, and `run` is its stack of one.  A layer that stops early stays on the
 stack until the last one stops, and each result copies its own slice.
+
+Since entries land on exact zeros, the iterate soon repeats bit for bit,
+and from then on so do the iterates and the losses.  A layer's computation
+ends at its first exact repeat (Brent's cycle test): the rest of its trace
+is copied from the repeating stretch, and its result is the iterate that
+the last iteration would hold.  So `iterations` with `tol` 0 fixes what the
+fit returns, not how many iterations it computes; the README config's fits
+repeat within 16-80 iterations of their 500.
+
 `subgradient` and `branch_loss` give one node's branch loss and its
 minimal-norm subgradient; the fit itself does not use them.
 """
@@ -47,7 +56,9 @@ class OptimConfig:
     """Hyperparameters for the block-coordinate fit.
 
     tol is a relative-change threshold on the combined loss measured across
-    `window` iterations; tol=0 disables early stopping.  lr has no effect:
+    `window` iterations.  With tol=0 no layer converges: its result and trace
+    are those of all `iterations` iterations, though the computation may end
+    at the iterate's first exact repeat (see `run_stack`).  lr has no effect:
     the exact block minimisers take no step size.  It is still accepted and
     range-checked so that configs written for the earlier subgradient fit,
     which set it, keep working.
@@ -244,6 +255,34 @@ def _result(down_hat: np.ndarray, up_hat: np.ndarray, trace: list,
     return OptimResult(down_hat, up_hat, tuple(trace), converged_at)
 
 
+def _converged(trace: list, config: OptimConfig) -> bool:
+    """Whether the trace's last loss passes the `tol` test against the one `window` back."""
+    t = len(trace) - 1
+    if t < config.window:
+        return False
+    prev = trace[t - config.window][1]
+    return abs(trace[t][1] - prev) / max(abs(prev), 1e-300) < config.tol
+
+
+def _repeat(trace: list, period: int, config: OptimConfig) -> int | None:
+    """Extend the trace of an iterate that repeats every `period` iterations; its converged_at.
+
+    The losses repeat with the iterate, so iteration u records the loss of
+    u - period, up to the first u whose `tol` test passes or to the last
+    iteration.
+    """
+    for u in range(len(trace), config.iterations + 1):
+        trace.append((u, trace[u - period][1]))
+        if _converged(trace, config):
+            return u
+    return None
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per stack member, whether two (S, m, n) arrays hold the same bits."""
+    return (a.view(np.int64) == b.view(np.int64)).all(axis=(-2, -1))
+
+
 def run_stack(layers: Sequence[AdapterLayer],
               config: OptimConfig) -> list[OptimResult | NumericError]:
     """Fit every layer as `run` does, in lockstep on one stack of same-shape layers.
@@ -255,37 +294,55 @@ def run_stack(layers: Sequence[AdapterLayer],
     a layer's outcome is fixed the first time it meets its own `tol` test
     or its loss turns non-finite.  It then stays in the stack unread, and
     the fit ends once every layer has an outcome or the iterations run out.
+
+    A layer's (down, up) bits fix every later iterate and loss, so the
+    first exact repeat ends its computation too.  Brent's test finds it: each
+    iterate is compared with a checkpoint, retaken whenever the iterations
+    since it reach a power of two, which then doubles.  A match at iteration
+    t with period lam fills the rest of the trace from the losses lam back,
+    and the result is read at iteration t + ((end - t) mod lam), where end is
+    the last iteration or the one whose `tol` test passes.
     """
     l1 = np.array([config.l1_pos, config.l1_neg])
     outcomes: list[OptimResult | NumericError | None] = [None] * len(layers)
     traces: list[list[tuple[int, float]]] = [[] for _ in layers]
+    # a layer whose trace is complete: the iteration to read its result at, and its converged_at
+    reads: dict[int, tuple[int, int | None]] = {}
     with np.errstate(all="ignore"):
         ref_up = np.stack([layer.up for layer in layers])
         fixed = _Layers.of(np.stack([layer.down for layer in layers]), ref_up,
                            config.l1_pos, config.l1_neg)
         down_hat, up_hat, part_hat = fixed.down, ref_up, fixed.parts
         hat_l1 = np.abs(down_hat).sum(axis=-1)
+        # the checkpoint: the iterate at iteration `mark` (never written in place)
+        mark, mark_down, mark_up, span = 0, down_hat, up_hat, 1
         for t in range(config.iterations + 1):
             if t:
                 down_hat = _down_block(fixed, l1, down_hat, part_hat)
                 hat_l1 = np.abs(down_hat).sum(axis=-1)
                 up_hat = _up_block(fixed, down_hat, hat_l1)
                 part_hat = _parts(up_hat)
+                repeats = (_same_bits(down_hat, mark_down) & _same_bits(up_hat, mark_up)).tolist()
             losses = _loss(fixed, l1, down_hat, part_hat, hat_l1).tolist()
             for k, (trace, loss) in enumerate(zip(traces, losses)):
-                if outcomes[k] is not None:
-                    continue
-                if not math.isfinite(loss):
-                    outcomes[k] = NumericError(
-                        f"surrogate loss is not finite at iteration {t}: {loss!r}")
-                    continue
-                trace.append((t, loss))
-                if t >= config.window:
-                    prev = trace[t - config.window][1]
-                    if abs(loss - prev) / max(abs(prev), 1e-300) < config.tol:
-                        outcomes[k] = _result(down_hat[k], up_hat[k], trace, t)
+                if outcomes[k] is None and k not in reads:
+                    if not math.isfinite(loss):
+                        outcomes[k] = NumericError(
+                            f"surrogate loss is not finite at iteration {t}: {loss!r}")
+                        continue
+                    trace.append((t, loss))
+                    if _converged(trace, config):
+                        reads[k] = (t, t)
+                    elif t and repeats[k]:
+                        converged_at = _repeat(trace, t - mark, config)
+                        end = config.iterations if converged_at is None else converged_at
+                        reads[k] = (t + (end - t) % (t - mark), converged_at)
+                if k in reads and reads[k][0] == t:
+                    outcomes[k] = _result(down_hat[k], up_hat[k], trace, reads[k][1])
             if None not in outcomes:
                 break
+            if t - mark == span:
+                mark, mark_down, mark_up, span = t, down_hat, up_hat, 2 * span
     return [_result(down_hat[k], up_hat[k], trace, None) if outcome is None else outcome
             for k, (outcome, trace) in enumerate(zip(outcomes, traces))]
 

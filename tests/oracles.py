@@ -110,6 +110,42 @@ def materialised_objective(down, up, down_hat, up_hat, l1_pos, l1_neg):
     return float(value)
 
 
+def reference_fit(layer, config):
+    """The surrogate fit run for every iteration, one layer at a time.
+
+    Unlike the rest of this module this reuses the package's block
+    minimisers and loss (each is checked against the objective's definition
+    in `test_optimizer`); what it keeps apart is the control flow.  It
+    computes every iteration until the `tol` test passes or the iterations
+    run out, with no stack and no early exit on a repeated iterate.  Returns
+    (down, up, trace, converged_at), or the NumericError the fit raises.
+    """
+    from tropiprune import optimizer as opt
+    from tropiprune.errors import NumericError
+
+    l1 = np.array([config.l1_pos, config.l1_neg])
+    with np.errstate(all="ignore"):
+        fixed = opt._Layers.of(layer.down[None], layer.up[None], config.l1_pos, config.l1_neg)
+        down_hat, up_hat, part_hat = fixed.down, layer.up[None], fixed.parts
+        hat_l1 = np.abs(down_hat).sum(axis=-1)
+        trace = []
+        for t in range(config.iterations + 1):
+            if t:
+                down_hat = opt._down_block(fixed, l1, down_hat, part_hat)
+                hat_l1 = np.abs(down_hat).sum(axis=-1)
+                up_hat = opt._up_block(fixed, down_hat, hat_l1)
+                part_hat = opt._parts(up_hat)
+            loss = float(opt._loss(fixed, l1, down_hat, part_hat, hat_l1)[0])
+            if not math.isfinite(loss):
+                return NumericError(f"surrogate loss is not finite at iteration {t}: {loss!r}")
+            trace.append((t, loss))
+            if t >= config.window:
+                prev = trace[t - config.window][1]
+                if abs(loss - prev) / max(abs(prev), 1e-300) < config.tol:
+                    return down_hat[0], up_hat[0], trace, t
+    return down_hat[0], up_hat[0], trace, None
+
+
 def worst_single_entry_move(down, up, down_hat, up_hat, l1_pos, l1_neg, block):
     """Largest relative drop of `materialised_objective` from moving one entry.
 

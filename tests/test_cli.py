@@ -1,6 +1,7 @@
 import csv
 import json
 import multiprocessing
+import time
 import xml.etree.ElementTree as ET
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -519,6 +520,34 @@ def test_sweep_reports_first_failing_seed_across_stages(tmp_path, capsys, monkey
     assert multiprocessing.active_children() == []
 
 
+def test_sweep_failure_cancels_queued_chunks(tmp_path, capsys, monkeypatch):
+    # one worker and one seed per chunk.  The executor hands the worker up to
+    # max_workers + 1 chunks ahead, and one more may slip in as the first
+    # failure arrives; the last of six chunks starts only if nothing cancels it
+    started = tmp_path / "started.txt"
+
+    def train_logged(models, datas, seeds, **keys):
+        with started.open("a") as log:  # forked workers append here
+            log.write("".join(f"{seed - 2}\n" for seed in seeds))
+        if seeds == [0 + 2]:
+            return [NumericError("training diverged for sweep seed 0")]
+        time.sleep(0.2)
+        return harness.train_stack(models, datas, seeds, **keys)
+
+    monkeypatch.setattr(cli, "train_stack", train_logged)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(cli, "MAX_STACK", 1)
+    cfg = write_config(tmp_path, {"task.n_train": 300, "train.steps": 0,
+                                  "sweep": {"seeds": [0, 1, 2, 3, 4, 5]}})
+    out_csv = tmp_path / "results.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out_csv)]) == 4
+    assert capsys.readouterr().err == "numeric failure: training diverged for sweep seed 0\n"
+    assert not out_csv.exists()
+    assert multiprocessing.active_children() == []
+    seeds = started.read_text().split()
+    assert seeds[0] == "0" and "5" not in seeds
+
+
 def forbid_work(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("work started before the output path was checked")
@@ -548,6 +577,25 @@ def test_sweep_out_naming_a_directory_exits_2(tmp_path, capsys, monkeypatch):
     out.mkdir()
     cfg = write_config(tmp_path)
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: bad --out: {out} is a directory\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["plot-loss", "plot-zonotope"])
+def test_plot_out_naming_a_directory_exits_2(tmp_path, capsys, monkeypatch, command):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an input was read before --out was checked")
+
+    for name in ("read_json", "load_bundle"):
+        monkeypatch.setattr(cli, name, forbidden)
+    out = tmp_path / "plot.svg"
+    out.mkdir()
+    missing = str(tmp_path / "missing.json")
+    argv = {"plot-loss": ["plot-loss", "--trace", missing, "--out", str(out)],
+            "plot-zonotope": ["plot-zonotope", "--before", missing, "--after", missing,
+                              "--layer", "0", "--node", "0", "--dims", "0,1",
+                              "--out", str(out)]}[command]
+    assert main(argv) == 2
     assert capsys.readouterr().err == f"config error: bad --out: {out} is a directory\n"
     assert list(out.iterdir()) == []
 

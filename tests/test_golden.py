@@ -11,11 +11,18 @@ checks each block update against the objective's definition.  At this
 config's l1 = 0.1 the fit's optimum keeps only one `down` entry and three `up`
 entries.  At p = 0.3 five of the six masks then prune at most one entry that
 is already 0, and those bundles equal `train/bundle.json`.
+
+`sweep`'s CSV is pinned the same way, for a config whose fits run with
+`tol` 0 (a fixed iteration count) and whose three seeds share one stacked
+worker.  Its digest was taken before the fit learned to stop at a repeated
+iterate and before a fraction's cells were scored as one stack, so it holds
+both to the bytes of the plain every-iteration, one-cell-at-a-time route.
 """
 
 import hashlib
 import json
 
+from tropiprune import cli
 from tropiprune.cli import main
 
 GOLDEN_CONFIG = {
@@ -93,3 +100,27 @@ def digests(tmp_path) -> dict:
 
 def test_train_and_prune_outputs_match_golden_digests(tmp_path):
     assert digests(tmp_path) == GOLDEN
+
+
+SWEEP_CONFIG = {
+    "task": {"kind": "blobs", "n_train": 300, "n_dev": 60, "n_test": 60,
+             "dim": 4, "classes": 4, "noise": 2.0, "seed": 5},
+    "model": {"features": 12, "bottleneck": 3},
+    "train": {"steps": 150, "lr": 0.05, "batch": 16},
+    "optim": {"iterations": 40, "lr": 0.01, "l1_pos": 0.01, "l1_neg": 0.01, "tol": 0.0},
+    "prune": {"fractions": [0.0, 0.5, 0.9], "scopes": ["CB", "CU", "CN"],
+              "methods": ["standard", "tropical", "combined"]},
+    "sweep": {"seeds": [5, 6, 7]},
+}
+
+#: 81 rows; in 4 of the 27 (seed, scope, p) cells the two methods score apart.
+GOLDEN_SWEEP = "e8cb8ef848456155c9313e9e4d3ad9677ef5d90c165788a78073572a9afb0466"
+
+
+def test_sweep_csv_matches_golden_digest(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)  # one worker, one stack of 3
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(SWEEP_CONFIG))
+    out = tmp_path / "results.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SWEEP

@@ -1,12 +1,17 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tropiprune import OptimConfig, PruneScope, SyntheticTask, evaluate, generate_task, sweep
+from tropiprune import (AdapterLayer, OptimConfig, PruneScope, SyntheticTask, evaluate,
+                        forward, generate_task, run, sweep)
 from tropiprune.errors import NumericError
-from tropiprune.harness import TinyModel, _macro_f1, init_model, logits, train, train_stack
-from tropiprune.strategies import apply_mask, standard_mask
+from tropiprune.harness import (METHODS, SweepRecord, TinyModel, _macro_f1, _scored_grid,
+                                _stack_logits, _stack_scores, featurize, init_model, logits,
+                                train, train_stack)
+from tropiprune.optimizer import OptimResult
+from tropiprune.strategies import apply_mask, combined_select, prune_grid, standard_mask
 
 from oracles import reference_train
 
@@ -308,3 +313,79 @@ def test_sweep_rejects_unknown_method():
     with pytest.raises(ValueError):
         sweep(result.model, task, [0.1], [PruneScope.CLASS_BLIND], ["magnitude"],
               OPTIM, data=data)
+
+
+def per_cell_records(model, task, data, fit, fractions, scopes, methods):
+    """`_scored_grid`'s records, each cell's model built and evaluated on its own."""
+    records = []
+    for p, scope, masks in prune_grid([model.adapter], [fit], fractions, scopes):
+        cells = {}
+        for method, (mask, achieved) in masks.items():
+            pruned = replace(model, adapter=apply_mask([model.adapter], mask)[0])
+            cells[method] = (evaluate(pruned, data.x_dev, data.y_dev),
+                             evaluate(pruned, data.x_test, data.y_test), achieved)
+        cells["combined"] = cells[combined_select(cells["standard"][0], cells["tropical"][0])]
+        records += [SweepRecord(task.kind, method, scope.value, float(p), cells[method][2],
+                                cells[method][0], cells[method][1], task.seed)
+                    for method in methods]
+    return records
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("features, bottleneck", [(16, 4), (64, 8), (768, 64)])
+def test_stacked_evaluate_matches_per_cell_evaluate(features, bottleneck):
+    rng = np.random.default_rng(features)
+    task = SyntheticTask("blobs", n_train=100, n_dev=120, n_test=120, dim=8, classes=3,
+                         noise=0.5, seed=features)
+    data = generate_task(task)
+    model = init_model(task.dim, features, bottleneck, task.classes, seed=1)
+    adapter = AdapterLayer(model.adapter.down, 2.0 * rng.normal(size=model.adapter.up.shape))
+    model = replace(model, adapter=adapter, head_w=rng.normal(size=model.head_w.shape),
+                    head_b=rng.normal(size=model.head_b.shape))
+    # six masked adapters, scored as one stack against one model each
+    down = np.where(rng.uniform(size=(6, *adapter.down.shape)) < 0.4, 0.0, adapter.down)
+    up = np.where(rng.uniform(size=(6, *adapter.up.shape)) < 0.4, 0.0, adapter.up)
+    h = featurize(model, data.x_dev)
+    cells = [replace(model, adapter=AdapterLayer(d, u)) for d, u in zip(down, up)]
+    for stacked, cell in zip(_stack_logits(model, down, up, h), cells, strict=True):
+        unstacked = forward(cell.adapter, h, residual=True) @ cell.head_w.T + cell.head_b
+        assert same_bits(stacked, unstacked)
+        assert same_bits(stacked, logits(cell, data.x_dev))
+    for metric in ("accuracy", "macro_f1"):
+        assert _stack_scores(model, down, up, h, data.y_dev, metric) == \
+            [evaluate(cell, data.x_dev, data.y_dev, metric) for cell in cells]
+    # and the whole grid, one stack per fraction
+    fit = run(adapter, OptimConfig(iterations=3, l1_pos=0.05, l1_neg=0.05, tol=0.0))
+    fractions, scopes = [0.0, 0.3, 0.7], list(PruneScope)
+    assert _scored_grid(model, task, data, fit, fractions, scopes, METHODS) == \
+        per_cell_records(model, task, data, fit, fractions, scopes, METHODS)
+
+
+def test_stacked_evaluate_fails_where_a_cell_fails():
+    # two equal hidden units whose up weights cancel on output 0: the model
+    # is finite, but a CN mask at p = 0.5 prunes one of the two, and output
+    # 0 then overflows through the head
+    rng = np.random.default_rng(3)
+    down = np.array([[1.0, 1.0, 1.0, 1.0, 0.5]] * 2)
+    up = np.vstack([[1e300, -1e300], rng.normal(size=(3, 2))])
+    head_w = rng.normal(size=(3, 4))
+    head_w[:, 0] = 1e10
+    model = TinyModel(np.abs(rng.normal(size=(4, 3))), AdapterLayer(down, up), head_w,
+                      np.zeros(3))
+    task = SyntheticTask("blobs", n_train=10, n_dev=30, n_test=30, dim=3, classes=3, seed=1)
+    data = generate_task(task)
+    fit = OptimResult(down, up, (), None)  # the layer as its own surrogate
+    scopes = [PruneScope.NODE_WISE]
+    # the unpruned cells pass, as they do on their own ...
+    assert _scored_grid(model, task, data, fit, [0.0], scopes, METHODS) == \
+        per_cell_records(model, task, data, fit, [0.0], scopes, METHODS)
+    # ... and the first failing cell, (0.5, CN), fails both routes with one error
+    errors = []
+    for route in (per_cell_records, _scored_grid):
+        with pytest.raises(NumericError) as failure:
+            route(model, task, data, fit, [0.0, 0.5], scopes, METHODS)
+        errors.append(str(failure.value))
+    assert errors == ["evaluation produced non-finite logits"] * 2

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from tropiprune import (AdapterLayer, OptimConfig, branch_loss, forward, init_model,
                         node_generators, objective_value, run, subgradient)
 from tropiprune.errors import NumericError
+from tropiprune import optimizer
+from tropiprune.harness import SyntheticTask, generate_task, train_stack
 from tropiprune.optimizer import run_stack
 
-from oracles import materialised_objective, worst_single_entry_move
+from oracles import materialised_objective, reference_fit, worst_single_entry_move
 
 
 def random_layer(rng, d=4, r=2, scale=1.0):
@@ -438,3 +440,63 @@ def test_run_stack_matches_one_layer_runs():
             # each result owns its matrices, not a view of the whole stack
             for a in (stacked.down, stacked.up):
                 assert a.base is None or a.base.nbytes <= a.nbytes
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 4), d=st.integers(1, 8),
+       r=st.integers(1, 4), log_penalty=st.floats(-4.0, 0.0),
+       tol=st.sampled_from([0.0, 0.0, 1e-12, 1e-6, 1e-3]), window=st.sampled_from([1, 2, 5, 10]),
+       iterations=st.integers(0, 400), failing=st.booleans())
+def test_run_stack_equals_the_every_iteration_fit(seed, size, d, r, log_penalty, tol, window,
+                                                   iterations, failing):
+    # members stop at their first exact repeat; the outcome must be the one
+    # of a fit that runs every iteration
+    rng = np.random.default_rng(seed)
+    layers = []
+    for _ in range(size):
+        down, up = rng.normal(size=(r, d + 1)), rng.normal(size=(d, r))
+        down[:, -1] = 0.0
+        up[rng.uniform(size=up.shape) < 0.2] = 0.0
+        layers.append(AdapterLayer(down, up))
+    if failing:  # a member whose loss is NaN
+        layers.insert(int(rng.integers(size + 1)), random_layer(rng, d, r, scale=1e160))
+    lam = 10.0 ** log_penalty
+    cfg = OptimConfig(iterations=iterations, l1_pos=lam, l1_neg=lam * rng.uniform(0.5, 2.0),
+                      tol=tol, window=window)
+    for layer, got in zip(layers, run_stack(layers, cfg), strict=True):
+        want = reference_fit(layer, cfg)
+        if isinstance(want, NumericError):
+            assert isinstance(got, NumericError) and str(got) == str(want)
+            continue
+        down, up, trace, converged_at = want
+        assert same_bits(got.down, down) and same_bits(got.up, up)
+        assert got.loss_trace == tuple(trace)
+        assert got.converged_at == converged_at
+
+
+def test_readme_stack_stops_at_its_repeats(monkeypatch):
+    # the README config's fits (tol 0, 500 iterations) on five sweep seeds;
+    # one member repeats with period 30, first seen at iteration 61
+    seeds = [7412, 11124, 12004, 22162, 47324]
+    tasks = [SyntheticTask("blobs", dim=8, classes=3, noise=0.5, seed=s) for s in seeds]
+    models = [init_model(8, 16, 4, 3, seed=s + 1) for s in seeds]
+    trained = train_stack(models, [generate_task(task) for task in tasks],
+                          [s + 2 for s in seeds], steps=2000)
+    layers = [r.model.adapter for r in trained]
+    computed = []
+    down_block = optimizer._down_block
+    monkeypatch.setattr(optimizer, "_down_block",
+                        lambda *args: computed.append(1) or down_block(*args))
+    cfg = OptimConfig(iterations=500, l1_pos=0.01, l1_neg=0.01, tol=0.0, window=10)
+    outcomes = run_stack(layers, cfg)
+    assert len(computed) <= 100
+    monkeypatch.undo()
+    for layer, got in zip(layers, outcomes):
+        down, up, trace, converged_at = reference_fit(layer, cfg)
+        assert same_bits(got.down, down) and same_bits(got.up, up)
+        assert got.loss_trace == tuple(trace) and len(trace) == 501
+        assert got.converged_at is converged_at is None
