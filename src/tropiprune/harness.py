@@ -148,8 +148,10 @@ def init_model(in_dim: int, features: int = 16, bottleneck: int = 4,
     return TinyModel(feature_map, adapter, np.zeros((classes, features)), np.zeros(classes))
 
 
-def featurize(model: TinyModel, x: np.ndarray) -> np.ndarray:
-    return np.maximum(np.asarray(x, dtype=np.float64) @ model.feature_map.T, 0.0)
+def featurize(model: TinyModel, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """relu(x @ feature_map.T), written into `out` when given, as numpy's `out=` does."""
+    h = np.matmul(np.asarray(x, dtype=np.float64), model.feature_map.T, out=out)
+    return np.maximum(h, 0.0, out=h)
 
 
 def logits(model: TinyModel, x: np.ndarray) -> np.ndarray:
@@ -213,12 +215,15 @@ def train_stack(models: Sequence[TinyModel], datas: Sequence[TaskData], seeds: S
     Entry k is bit for bit what train(models[k], datas[k], steps, lr, batch,
     seeds[k]) returns, or the NumericError it raises; a member whose loss
     turns non-finite no longer counts, and the run stops once every member
-    has failed.
+    has failed.  Either every model's adapter has an up bias or none has.
     """
-    if steps < 0 or not lr > 0 or batch <= 0:
-        raise ValueError("steps must be >= 0 and lr, batch positive")
+    if steps < 0 or not 0 < lr < math.inf or batch <= 0:  # NaN fails it too
+        raise ValueError("steps must be >= 0, lr positive and finite, and batch positive")
     if not len(models) == len(datas) == len(seeds):
         raise ValueError("train_stack needs one data set and one seed per model")
+    biases = [model.adapter.up_bias for model in models]
+    if len({bias is None for bias in biases}) > 1:
+        raise ValueError("train_stack needs an up bias on every model's adapter or on none")
     rngs = [np.random.default_rng(seed) for seed in seeds]
     # the trained tensors are views of one buffer, and their gradients of a
     # matching one, so that one update per step moves them all
@@ -230,12 +235,14 @@ def train_stack(models: Sequence[TinyModel], datas: Sequence[TaskData], seeds: S
     d_down, d_up, d_head_w, d_head_b = _views(grads, shapes)
     for tensor, weights in zip(tensors, zip(*members)):
         np.stack(weights, out=tensor)
-    features = [featurize(model, data.x_train) for model, data in zip(models, datas)]
-    # a stack of one trains on its features in place: at BERT-base width they
-    # take MBs, more than everything else a run holds
-    h_all = features[0] if len(features) == 1 else np.concatenate(features)
+    # each member's features go straight into its own rows of one buffer: at
+    # BERT-base width they take MBs, more than everything else a run holds
+    sizes = [len(data.x_train) for data in datas]
+    stack, width = len(models), models[0].features
+    h_all = np.empty((sum(sizes), width))
+    for model, data, rows in zip(models, datas, np.split(h_all, np.cumsum(sizes)[:-1])):
+        featurize(model, data.x_train, out=rows)
     y_all = np.concatenate([data.y_train for data in datas])
-    stack, width = len(models), h_all.shape[1]
     # every step gathers its rows into one buffer whose last column is the bias
     aug = np.ones((stack, batch, width + 1))
     h = aug[..., :width]
@@ -243,17 +250,22 @@ def train_stack(models: Sequence[TinyModel], datas: Sequence[TaskData], seeds: S
     # each step's rows as flat offsets into its (S, batch, classes) logits
     row_starts = classes * np.arange(stack * batch).reshape(stack, batch)
     bias = head_b[:, None, :]  # a view, so it follows head_b's in-place steps
+    up_bias = None if biases[0] is None else np.stack(biases)[:, None, :]
     losses = np.empty((steps, stack))
     errors: list[NumericError | None] = [None] * stack
     # a diverging run overflows before its loss turns non-finite; the
     # NumericError below reports it, so numpy's own warnings stay quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        for step, idx in enumerate(_batches(rngs, [len(f) for f in features], steps, batch)):
+        for step, idx in enumerate(_batches(rngs, sizes, steps, batch)):
             np.take(h_all, idx, axis=0, out=h)
             labels = row_starts + y_all[idx]
             pre = aug @ down.mT
             hidden = np.maximum(pre, 0.0)
-            adapted = h + hidden @ up.mT
+            # the frozen up bias, then the residual: the order `forward` adds them in
+            adapted = hidden @ up.mT
+            if up_bias is not None:
+                adapted += up_bias
+            adapted += h
             z = adapted @ head_w.mT + bias
             dz, loss = _softmax_xent(z, labels)
             losses[step] = loss
@@ -284,8 +296,8 @@ def train_stack(models: Sequence[TinyModel], datas: Sequence[TaskData], seeds: S
             continue
         # AdapterLayer copies its matrices; the head is copied here, so that no
         # result holds a view of the whole stack
-        trained = TinyModel(model.feature_map, AdapterLayer(down[k], up[k]), head_w[k].copy(),
-                            head_b[k].copy())
+        trained = TinyModel(model.feature_map, AdapterLayer(down[k], up[k], biases[k]),
+                            head_w[k].copy(), head_b[k].copy())
         outcomes.append(TrainResult(trained, tuple(losses[:, k].tolist())))
     return outcomes
 
@@ -294,8 +306,11 @@ def train(model: TinyModel, data: TaskData, steps: int = 2000, lr: float = 0.05,
           batch: int = 32, seed: int = 0) -> TrainResult:
     """Mini-batch SGD on softmax cross entropy over adapter and head only.
 
-    Deterministic for a given seed; the featurizer is never touched.
-    Returns the trained model together with the per-step batch losses.
+    Deterministic for a given seed; the featurizer is never touched.  An
+    adapter's up bias stays frozen: each step adds it to the adapter's
+    output before the residual, as `forward` does, and the trained model
+    carries it unchanged.  Returns the trained model together with the
+    per-step batch losses.
     This is `train_stack` on a stack of one.
 
     Raises:

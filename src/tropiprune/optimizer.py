@@ -45,8 +45,6 @@ import numpy as np
 from .adapter import AdapterLayer
 from .errors import NumericError
 
-POS, NEG = "pos", "neg"
-
 #: The positive and the negative branch's sign, shaped to broadcast over (d, r).
 _BRANCH_SIGNS = np.array([1.0, -1.0])[:, None, None]
 
@@ -61,7 +59,7 @@ class OptimConfig:
     at the iterate's first exact repeat (see `run_stack`).  lr has no effect:
     the exact block minimisers take no step size.  It is still accepted and
     range-checked so that configs written for the earlier subgradient fit,
-    which set it, keep working.
+    which set it, keep working.  lr, l1_pos and l1_neg must be finite.
     """
 
     iterations: int = 1000
@@ -74,10 +72,10 @@ class OptimConfig:
     def __post_init__(self) -> None:
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-        if not self.lr > 0:  # written so that NaN fails the checks too
-            raise ValueError("lr must be positive")
-        if not (self.l1_pos >= 0 and self.l1_neg >= 0):
-            raise ValueError("sparsity weights must be >= 0")
+        if not 0 < self.lr < math.inf:  # written so that NaN fails the checks too
+            raise ValueError("lr must be positive and finite")
+        if not (0 <= self.l1_pos < math.inf and 0 <= self.l1_neg < math.inf):
+            raise ValueError("sparsity weights must be finite and >= 0")
         if not self.tol >= 0:
             raise ValueError("tol must be >= 0")
         if self.window < 1:
@@ -92,19 +90,15 @@ class OptimResult:
     converged_at: int | None
 
 
-def _check_shapes(layer: AdapterLayer, down_hat: np.ndarray, up_hat: np.ndarray) -> None:
+def _surrogate(layer: AdapterLayer, down_hat, up_hat) -> tuple[np.ndarray, np.ndarray]:
+    """The surrogate matrices as float64 arrays, once their shapes match the layer's."""
+    down_hat = np.asarray(down_hat, dtype=np.float64)
+    up_hat = np.asarray(up_hat, dtype=np.float64)
     if down_hat.shape != layer.down.shape or up_hat.shape != layer.up.shape:
         raise ValueError(
             f"surrogate shapes {down_hat.shape}/{up_hat.shape} do not match "
             f"layer shapes {layer.down.shape}/{layer.up.shape}")
-
-
-def _branch_sign(branch: str) -> float:
-    if branch == POS:
-        return 1.0
-    if branch == NEG:
-        return -1.0
-    raise ValueError(f"branch must be {POS!r} or {NEG!r}, got {branch!r}")
+    return down_hat, up_hat
 
 
 def _branch_parts(layer: AdapterLayer, up_hat: np.ndarray, node: int,
@@ -112,7 +106,9 @@ def _branch_parts(layer: AdapterLayer, up_hat: np.ndarray, node: int,
     """The branch's sign and the node's up-row parts of the surrogate and the layer."""
     if not 0 <= node < layer.width:
         raise ValueError(f"node {node} out of range for width {layer.width}")
-    sign = _branch_sign(branch)
+    if branch not in ("pos", "neg"):
+        raise ValueError(f"branch must be 'pos' or 'neg', got {branch!r}")
+    sign = 1.0 if branch == "pos" else -1.0
     return sign, np.maximum(sign * up_hat[node], 0.0), np.maximum(sign * layer.up[node], 0.0)
 
 
@@ -128,9 +124,7 @@ def objective_value(layer: AdapterLayer, down_hat: np.ndarray, up_hat: np.ndarra
     Every distance term carries a difference, so the value is exactly 0.0 at
     the layer itself when the penalties are zero.
     """
-    down_hat = np.asarray(down_hat, dtype=np.float64)
-    up_hat = np.asarray(up_hat, dtype=np.float64)
-    _check_shapes(layer, down_hat, up_hat)
+    down_hat, up_hat = _surrogate(layer, down_hat, up_hat)
     fixed = _Layers.of(layer.down, layer.up, l1_pos, l1_neg)
     return float(_loss(fixed, np.array([l1_pos, l1_neg]), down_hat, _parts(up_hat),
                        np.abs(down_hat).sum(axis=-1)))
@@ -139,9 +133,7 @@ def objective_value(layer: AdapterLayer, down_hat: np.ndarray, up_hat: np.ndarra
 def branch_loss(layer: AdapterLayer, down_hat: np.ndarray, up_hat: np.ndarray,
                 node: int, branch: str, l1: float) -> float:
     """One node's single-branch loss: 0.5 distance squared plus L1 penalty."""
-    down_hat = np.asarray(down_hat, dtype=np.float64)
-    up_hat = np.asarray(up_hat, dtype=np.float64)
-    _check_shapes(layer, down_hat, up_hat)
+    down_hat, up_hat = _surrogate(layer, down_hat, up_hat)
     _, part_hat, part_ref = _branch_parts(layer, up_hat, node, branch)
     g_hat = part_hat[:, None] * down_hat
     g_ref = part_ref[:, None] * layer.down
@@ -156,9 +148,7 @@ def subgradient(layer: AdapterLayer, down_hat: np.ndarray, up_hat: np.ndarray,
     where the row weight is strictly on the branch's side of zero) and the L1
     term contributes sign(), with sign(0) = 0.
     """
-    down_hat = np.asarray(down_hat, dtype=np.float64)
-    up_hat = np.asarray(up_hat, dtype=np.float64)
-    _check_shapes(layer, down_hat, up_hat)
+    down_hat, up_hat = _surrogate(layer, down_hat, up_hat)
     sign, part_hat, part_ref = _branch_parts(layer, up_hat, node, branch)
     scale = part_hat[:, None]
     g_hat = scale * down_hat

@@ -170,13 +170,15 @@ def worst_single_entry_move(down, up, down_hat, up_hat, l1_pos, l1_neg, block):
     return worst
 
 
-def reference_train(feature_map, down, up, head_w, head_b, x, y, steps, lr, batch, seed):
+def reference_train(feature_map, down, up, head_w, head_b, x, y, steps, lr, batch, seed,
+                    up_bias=None):
     """Mini-batch SGD on softmax cross entropy, one batch drawn per step.
 
     Step t draws `batch` row indices with `rng.integers(0, n, size=batch)`,
     features them as relu(x @ feature_map.T), appends the bias column, runs
-    the residual adapter and the head, and takes the mean cross entropy of
-    the max-shifted logits.  The hand-derived gradients then update `down`,
+    the residual adapter (adding the frozen `up_bias`, when given, before
+    the residual) and the head, and takes the mean cross entropy of the
+    max-shifted logits.  The hand-derived gradients then update `down`,
     `up`, `head_w` and `head_b` (copies) by `lr`.  Returns the four matrices
     and the list of per-step losses.
     """
@@ -190,7 +192,10 @@ def reference_train(feature_map, down, up, head_w, head_b, x, y, steps, lr, batc
         aug = np.hstack([h, np.ones((batch, 1))])
         pre = aug @ down.T
         hidden = np.maximum(pre, 0.0)
-        adapted = h + hidden @ up.T
+        out = hidden @ up.T
+        if up_bias is not None:
+            out = out + up_bias
+        adapted = out + h
         z = adapted @ head_w.T + head_b
         shifted = z - z.max(axis=1, keepdims=True)
         e = np.exp(shifted)

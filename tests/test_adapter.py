@@ -93,6 +93,13 @@ def test_layer_validation():
         AdapterLayer(bad, np.zeros((3, 2)))
 
 
+@pytest.mark.parametrize("up_bias", [[0.0, np.nan, 0.0], [0.0, 0.0, -np.inf], [0.0, 0.0],
+                                     [0.0, 0.0, 0.0, 0.0]])
+def test_layer_rejects_a_non_finite_or_misshapen_up_bias(up_bias):
+    with pytest.raises(ValueError, match="up_bias must be a finite vector of the output width"):
+        AdapterLayer(np.zeros((2, 4)), np.zeros((3, 2)), up_bias)
+
+
 def test_layer_matrices_are_frozen():
     layer = AdapterLayer(np.zeros((2, 4)), np.zeros((3, 2)))
     with pytest.raises(ValueError):

@@ -165,6 +165,14 @@ MALFORMED = [
     ("train", "task", "seed", -1),
     ("sweep", "sweep", "seeds", [-1]),
     ("train", "task", "noise", float("inf")),
+    # a boolean read as 1.0, or an infinite weight, ran on: exit 0, or 4 at iteration 0
+    ("prune", "optim", "tol", True),
+    ("prune", "prune", "fractions", [True]),
+    ("prune", "optim", "l1_pos", float("inf")),
+    ("prune", "optim", "l1_neg", float("inf")),
+    ("prune", "optim", "lr", float("inf")),
+    ("train", "train", "lr", float("inf")),
+    ("sweep", "train", "lr", float("inf")),
 ]
 
 
@@ -325,6 +333,8 @@ MALFORMED_BUNDLES = [
     ("string-tensor", lambda doc: doc["tensors"]["adapter0.up"][0].__setitem__(0, "x")),
     ("ragged-tensor", lambda doc: doc["tensors"]["adapter0.down"][0].pop()),
     ("meta-list", lambda doc: doc["manifest"].update(meta=[1])),
+    ("nan-tensor", lambda doc: doc["tensors"]["adapter0.up"][0].__setitem__(0, float("nan"))),
+    ("version-2", lambda doc: doc.update(version=2)),
 ]
 
 
@@ -716,6 +726,16 @@ def test_plot_zonotope_bad_node_exits_3(tmp_path, capsys):
                  "--node", "99", "--dims", "0,1",
                  "--out", str(tmp_path / "x.svg")]) == 3
     assert "node" in capsys.readouterr().err
+
+
+def test_plot_zonotope_bad_layer_exits_3(tmp_path, capsys):
+    _, out = prune_setup(tmp_path)
+    svg_path = tmp_path / "x.svg"
+    assert main(["plot-zonotope", "--before", str(out / "bundle.json"),
+                 "--after", str(out / "bundle.json"), "--layer", "1",
+                 "--node", "0", "--dims", "0,1", "--out", str(svg_path)]) == 3
+    assert capsys.readouterr().err.startswith("data error: layer 1 out of range")
+    assert not svg_path.exists()
 
 
 def test_plot_zonotope_bad_dims_exit_codes(tmp_path, capsys):

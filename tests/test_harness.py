@@ -199,6 +199,71 @@ def test_train_stack_members_fail_on_their_own():
             assert a.base is None or a.base.nbytes <= a.nbytes
 
 
+def biased(model, up_bias):
+    return replace(model, adapter=AdapterLayer(model.adapter.down, model.adapter.up, up_bias))
+
+
+def test_train_keeps_and_applies_up_bias():
+    # a frozen +-50 up bias moves every logit; training must see it, leave it
+    # unchanged, and score the trained model the way `logits` does
+    rng = np.random.default_rng(5)
+    data = generate_task(blobs_task())
+    models = [biased(replace(init_model(8, 16, 4, 3, seed=s),
+                             head_w=rng.normal(size=(3, 16))), rng.uniform(-50, 50, size=16))
+              for s in (1, 2)]
+    outcomes = train_stack(models, [data] * 2, [3, 4], steps=40, lr=0.05, batch=32)
+    for k, (model, outcome) in enumerate(zip(models, outcomes)):
+        adapter = model.adapter
+        assert_trained_like(outcome, reference_train(
+            model.feature_map, adapter.down, adapter.up, model.head_w, model.head_b,
+            data.x_train, data.y_train, 40, 0.05, 32, 3 + k, up_bias=adapter.up_bias))
+        assert np.array_equal(outcome.model.adapter.up_bias, adapter.up_bias)
+        assert outcome.losses != train(biased(model, None), data, steps=40, seed=3 + k).losses
+        trained = outcome.model
+        h = featurize(trained, data.x_dev)
+        (stacked,) = _stack_logits(trained, trained.adapter.down[None],
+                                   trained.adapter.up[None], h)
+        assert same_bits(stacked, logits(trained, data.x_dev))
+        assert evaluate(trained, data.x_dev, data.y_dev) == \
+            np.mean(np.argmax(stacked, axis=1) == data.y_dev)
+
+
+def test_train_stack_rejects_mixed_up_bias():
+    data = generate_task(blobs_task())
+    models = [init_model(8, 16, 4, 3, seed=1), biased(init_model(8, 16, 4, 3, seed=2),
+                                                      np.ones(16))]
+    with pytest.raises(ValueError, match="up bias on every model's adapter or on none"):
+        train_stack(models, [data] * 2, [3, 4], steps=1)
+
+
+def test_train_reports_non_finite_weights_after_the_last_step():
+    # features 100 times larger and one step at lr 1e308: the step's loss is
+    # finite, but the update overflows the weights
+    data = generate_task(blobs_task())
+    model = init_model(8, 16, 4, 3, seed=1)
+    model = replace(model, feature_map=100.0 * model.feature_map)
+    with pytest.raises(NumericError,
+                       match="training diverged: non-finite weights after 1 steps"):
+        train(model, data, steps=1, lr=1e308)
+
+
+@pytest.mark.parametrize("stack", [1, 4])
+def test_train_stack_holds_one_copy_of_the_features(stack):
+    # at BERT-base width the training features dominate what a run holds,
+    # so each member's must be held only once
+    datas = [generate_task(SyntheticTask("blobs", n_train=2000, n_dev=4, n_test=4, dim=32,
+                                         classes=4, seed=k)) for k in range(stack)]
+    models = [init_model(32, 768, 64, 4, seed=k) for k in range(stack)]
+    feature_bytes = stack * 2000 * 768 * 8
+    tracemalloc.start()
+    try:
+        train_stack(models, datas, list(range(stack)), steps=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * feature_bytes
+
+
 def test_train_gradients_match_finite_differences():
     # one step of the analytic gradient against a numeric directional check
     data = generate_task(SyntheticTask("blobs", n_train=64, n_dev=8, n_test=8,
