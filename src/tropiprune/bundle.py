@@ -11,12 +11,14 @@ writes the same bytes.  The writer refuses non-finite values, which JSON
 cannot hold.
 
 The writer renders the manifest with `json.dumps` and each tensor itself,
-joining its number texts into the same `indent=1` layout.  Given `like`, a
-bundle written before, it reuses `like`'s text for every value that is
-bit-identical to the one at the same place in `like` (so -0.0 and 0.0 stay
-apart) and renders only the others.  `like`'s texts are rendered once and
-kept on that bundle, so `prune` renders each value of the original once
-however many pruned bundles it writes.
+joining its number texts into the same `indent=1` layout, and writes the file
+in pieces: the manifest head, each tensor, the tail.  Given `like`, a bundle
+written before, it reuses `like`'s text for every row whose values are all
+bit-identical to the ones at the same place in `like` (so -0.0 and 0.0 stay
+apart).  A row that changed is rebuilt from `like`'s number texts and the
+changed values, each distinct value rendered once.  `like`'s texts are kept
+on that bundle as one string per row, so `prune` renders each value of the
+original once however many pruned bundles it writes.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -40,11 +44,14 @@ VERSION = 1
 
 @dataclass(frozen=True)
 class _Rendered:
-    """A tensor's float64 values and their JSON text, one `repr` per value."""
+    """A tensor's float64 values and their JSON text, one string per row.
+
+    A row of a 2-D tensor is its whole list as laid out in the file; a 1-D
+    tensor's rows are its numbers.  The tensor's text is `_json_list(rows, 2)`.
+    """
 
     values: np.ndarray
-    numbers: np.ndarray  # object array of str, flat, row-major
-    text: str            # the whole list, laid out as in the file
+    rows: list[str]
 
 
 @dataclass(frozen=True)
@@ -70,18 +77,19 @@ class WeightBundle:
 
     @cached_property
     def _rendered(self) -> dict[str, _Rendered]:
-        """Each tensor's text, rendered on first use and freed with the bundle."""
+        """Each tensor's row texts, rendered on first use and freed with the bundle."""
         return {name: _render(name, arr) for name, arr in self._tensors().items()}
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see halves."""
+def write_text_atomic(path: str | Path, *pieces: str) -> None:
+    """Write the pieces' concatenation via a sibling temp file and rename, so
+    readers never see halves."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
@@ -99,42 +107,74 @@ def read_json(path: str | Path, what: str, error: type[Exception]):
         raise error(f"{what} file {path} is not JSON text: {exc}") from None
 
 
+@cache
+def _layout(depth: int) -> tuple[str, str, str]:
+    """What `json.dumps(indent=1)` puts before, between and after the items of
+    a non-empty list nested `depth` deep."""
+    pad = "\n" + " " * (depth + 1)
+    return "[" + pad, "," + pad, "\n" + " " * depth + "]"
+
+
 def _json_list(items: list[str], depth: int) -> str:
     """`json.dumps(indent=1)`'s layout of a list of rendered items nested `depth` deep."""
     if not items:
         return "[]"
-    pad = "\n" + " " * (depth + 1)
-    return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
+    first, sep, last = _layout(depth)
+    return first + sep.join(items) + last
+
+
+def _row_numbers(row: str) -> list[str]:
+    """The number texts of a non-empty row laid out by `_json_list(numbers, 3)`;
+    a number's text holds no comma, so the split is exact."""
+    first, sep, last = _layout(3)
+    return row[len(first):-len(last)].split(sep)
+
+
+def _fresh_rows(values: np.ndarray) -> list[str]:
+    """Every row's text, rendered a row at a time."""
+    if values.ndim == 1:
+        return list(map(float.__repr__, values.tolist()))
+    return [_json_list(list(map(float.__repr__, row)), 3) for row in values.tolist()]
 
 
 def _render(name: str, arr: np.ndarray, like: _Rendered | None = None) -> _Rendered:
-    """The text of a 1-D or 2-D tensor inside the bundle's "tensors" object.
+    """The rows of a 1-D or 2-D tensor inside the bundle's "tensors" object.
 
     Given `like`, a rendering of a tensor of the same shape, only the values
-    whose bits differ from `like`'s are rendered; an unchanged tensor reuses
-    `like` whole.  A `like` of another shape is ignored.
+    whose bits differ from `like`'s are rendered, each distinct one once.
+    Only the rows holding them are rebuilt; the others keep `like`'s strings,
+    and an unchanged tensor reuses `like` whole.  A `like` of another shape is
+    ignored.
     """
     values = np.ascontiguousarray(arr, dtype=np.float64)
-    flat = values.reshape(-1)
-    if not np.all(np.isfinite(flat)):
+    if not np.all(np.isfinite(values)):
         raise DataError(f"tensor {name!r} contains non-finite values")
     if like is None or like.values.shape != values.shape:
-        numbers = np.empty(flat.size, dtype=object)
-        changed = slice(None)
+        return _Rendered(values, _fresh_rows(values))
+    bits = values.view(np.int64)  # compared as bits, so 0.0 and -0.0 stay apart
+    changed = np.nonzero(bits != like.values.view(np.int64))
+    if changed[0].size == 0:
+        return like
+    if changed[0].size == values.size:
+        return _Rendered(values, _fresh_rows(values))
+    distinct, which = np.unique(bits[changed], return_inverse=True)
+    texts = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())), dtype=object)
+    updates = zip(*(index.tolist() for index in changed), texts[which].tolist())
+    rows = list(like.rows)
+    if values.ndim == 1:
+        for i, text in updates:
+            rows[i] = text
     else:
-        changed = np.flatnonzero(flat.view(np.int64) != like.values.reshape(-1).view(np.int64))
-        if changed.size == 0:
-            return like
-        numbers = like.numbers.copy()
-    numbers[changed] = list(map(float.__repr__, flat[changed].tolist()))
-    rows = numbers.reshape(values.shape).tolist()
-    if values.ndim == 2:
-        rows = [_json_list(row, 3) for row in rows]
-    return _Rendered(values, numbers, _json_list(rows, 2))
+        for i, entries in groupby(updates, key=itemgetter(0)):
+            numbers = _row_numbers(rows[i])
+            for _, j, text in entries:
+                numbers[j] = text
+            rows[i] = _json_list(numbers, 3)
+    return _Rendered(values, rows)
 
 
-def bundle_to_json(bundle: WeightBundle, like: WeightBundle | None = None) -> str:
-    """The bundle's file text; `like` only saves work, never changes the text."""
+def _pieces(bundle: WeightBundle, like: WeightBundle | None) -> list[str]:
+    """The bundle's file text in pieces: the manifest head, each tensor, the tail."""
     model = bundle.model
     adapter = model.adapter
     manifest = {
@@ -159,15 +199,29 @@ def bundle_to_json(bundle: WeightBundle, like: WeightBundle | None = None) -> st
     # only a top-level key sits one space in: strings hold no raw newline
     head, _, tail = skeleton.partition('\n "tensors": {}')
     kept = like._rendered if like is not None else {}
-    entries = [f"  {json.dumps(name)}: {_render(name, arr, kept.get(name)).text}"
-               for name, arr in bundle._tensors().items()]
-    return head + '\n "tensors": {\n' + ",\n".join(entries) + "\n }" + tail + "\n"
+    pieces = [head + '\n "tensors": {']
+    sep = "\n  "
+    for name, arr in bundle._tensors().items():
+        pieces += [f"{sep}{json.dumps(name)}: ",
+                   _json_list(_render(name, arr, kept.get(name)).rows, 2)]
+        sep = ",\n  "
+    pieces.append("\n }" + tail + "\n")
+    return pieces
+
+
+def bundle_to_json(bundle: WeightBundle, like: WeightBundle | None = None) -> str:
+    """The bundle's file text; `like` only saves work, never changes the text."""
+    return "".join(_pieces(bundle, like))
 
 
 def save_bundle(bundle: WeightBundle, path: str | Path,
                 like: WeightBundle | None = None) -> None:
-    """Write the bundle atomically; see `bundle_to_json` for `like`."""
-    write_text_atomic(path, bundle_to_json(bundle, like))
+    """Write the bundle atomically; see `bundle_to_json` for `like`.
+
+    Every piece is rendered before the file is opened, so a refused value
+    raises before any file or directory is made.
+    """
+    write_text_atomic(path, *_pieces(bundle, like))
 
 
 def _object(value, what: str) -> dict:
@@ -180,6 +234,14 @@ def _shape(value, what: str) -> tuple[int, ...]:
     if not isinstance(value, list) or not all(type(n) is int for n in value):
         raise DataError(f"bundle {what} must be a list of integers, got {value!r:.40}")
     return tuple(value)
+
+
+def _flag(mapping: dict, key: str) -> bool:
+    """A manifest flag: absent is false, anything but a JSON boolean is refused."""
+    value = mapping.get(key, False)
+    if type(value) is not bool:
+        raise DataError(f"bundle {key} must be true or false, got {value!r:.40}")
+    return value
 
 
 def _tensor(tensors: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -215,10 +277,12 @@ def load_bundle(path: str | Path) -> WeightBundle:
     if not isinstance(layers, list) or len(layers) != 1:
         raise DataError("bundle must describe exactly one adapter layer")
     entry = _object(layers[0], "layer")
+    if entry.get("bias_merged", True) is not True:  # the only layout this reader knows
+        raise DataError(f"bundle bias_merged must be true, got {entry['bias_merged']!r:.40}")
     down = _tensor(tensors, "adapter0.down", _shape(entry.get("down_shape"), "down_shape"))
     up = _tensor(tensors, "adapter0.up", _shape(entry.get("up_shape"), "up_shape"))
     up_bias = None
-    if entry.get("has_up_bias"):
+    if _flag(entry, "has_up_bias"):
         up_bias = _tensor(tensors, "adapter0.up_bias", (up.shape[0],))
     feature_map = _tensor(tensors, "feature_map", (features, in_dim))
     head_w = _tensor(tensors, "head.w", (classes, features))
@@ -228,5 +292,5 @@ def load_bundle(path: str | Path) -> WeightBundle:
     except ValueError as exc:
         raise DataError(str(exc)) from None
     model = TinyModel(feature_map, adapter, head_w, head_b)
-    return WeightBundle(model, bool(manifest.get("optimized", False)),
+    return WeightBundle(model, _flag(manifest, "optimized"),
                         dict(_object(manifest.get("meta", {}), "manifest.meta")))

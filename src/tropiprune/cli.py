@@ -291,8 +291,9 @@ def cmd_prune(args) -> int:
                           json.dumps(trace_doc) + "\n")
     opt_model = replace(model, adapter=replace(model.adapter, down=optimized[0].down,
                                                up=optimized[0].up))
-    # like=bundle: every value a written bundle shares with the original
-    # reuses the original's text, rendered once for the whole grid
+    # like=bundle: every row a written bundle shares with the original reuses
+    # the original's text, rendered once for the whole grid; a changed row is
+    # rebuilt from it, and a pruned row's zeros are rendered once per tensor
     save_bundle(WeightBundle(opt_model, optimized=True, meta=bundle.meta),
                 out / "optimized.json", like=bundle)
     report = {"total_params": sum(l.param_count for l in originals), "cells": []}

@@ -1,5 +1,7 @@
 import json
+import tracemalloc
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import bundle_json
-from tropiprune import AdapterLayer, convex_hull_2d
+from tropiprune import AdapterLayer, OptimConfig, PruneScope, apply_mask, convex_hull_2d, run
 from tropiprune.bundle import (WeightBundle, bundle_to_json, load_bundle,
                                save_bundle)
 from tropiprune.errors import DataError
 from tropiprune.harness import TinyModel, init_model
+from tropiprune.strategies import prune_grid
 from tropiprune.svgplot import loss_curve_svg, zonotope_overlay_svg
 
 
@@ -162,16 +165,86 @@ def test_writer_keeps_signed_zeros_apart_from_like():
     text = bundle_to_json(negative, like=zeros)
     assert text == bundle_json(negative) and "-0.0" in text
     assert bundle_to_json(zeros, like=negative) == bundle_json(zeros)
+    # both zeros among one tensor's changed values are still two texts
+    signs = np.where(np.arange(adapter.down.size) % 2, 0.0, -0.0).reshape(adapter.down.shape)
+    mixed = WeightBundle(TinyModel(model.feature_map, AdapterLayer(signs, adapter.up),
+                                   model.head_w, model.head_b))
+    assert bundle_to_json(mixed, like=WeightBundle(model)) == bundle_json(mixed)
 
 
-def test_writer_refuses_non_finite_values():
+def test_writer_refuses_non_finite_values(tmp_path):
     model = sample_model()
     bad = WeightBundle(TinyModel(model.feature_map, model.adapter, model.head_w,
                                  np.array([0.0, np.nan])))
-    with pytest.raises(DataError, match="head.b"):
-        bundle_to_json(bad)
-    with pytest.raises(DataError, match="head.b"):
-        bundle_to_json(bad, like=WeightBundle(model))
+    for like in (None, WeightBundle(model)):
+        with pytest.raises(DataError, match="head.b"):
+            bundle_to_json(bad, like)
+        # a refused save makes no target, temp file or parent directory
+        with pytest.raises(DataError, match="head.b"):
+            save_bundle(bad, tmp_path / "missing" / "bundle.json", like=like)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("key, value", [
+    ("optimized", "no"), ("optimized", 0.5), ("has_up_bias", "no"), ("has_up_bias", 1),
+    ("bias_merged", False), ("bias_merged", "yes")])
+def test_loader_names_a_bad_manifest_flag(tmp_path, key, value):
+    path = tmp_path / "bundle.json"
+    save_bundle(WeightBundle(sample_model()), path)
+    doc = json.loads(path.read_text())
+    manifest = doc["manifest"]
+    (manifest if key == "optimized" else manifest["layers"][0])[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=key):
+        load_bundle(path)
+
+
+def _fit_and_masks(model, iterations, fractions, scopes):
+    """The optimized model and every pruned model `prune` writes, in its order."""
+    originals = [model.adapter]
+    fit = run(model.adapter, OptimConfig(iterations=iterations, l1_pos=0.001, l1_neg=0.001,
+                                         tol=0.0))
+    optimized = replace(model, adapter=replace(model.adapter, down=fit.down, up=fit.up))
+    pruned = [replace(model, adapter=apply_mask(originals, masks[method][0])[0])
+              for _, _, masks in prune_grid(originals, [fit], fractions, scopes)
+              for method in ("standard", "tropical")]
+    return optimized, pruned
+
+
+def test_writer_matches_json_dumps_on_wide_rows():
+    # 257- and 16-entry rows, split and rejoined wherever a mask changed them
+    model = init_model(in_dim=3, features=256, bottleneck=16, classes=2, seed=2)
+    bias = np.random.default_rng(3).normal(size=256)
+    model = replace(model, adapter=replace(model.adapter, up_bias=bias))
+    like = WeightBundle(model, meta={"task": "blobs"})
+    optimized, pruned = _fit_and_masks(model, 3, [0.1, 0.5, 0.8], list(PruneScope))
+    assert len(pruned) == 18
+    written = [WeightBundle(optimized, optimized=True, meta=like.meta)]
+    written += [WeightBundle(m, meta=like.meta) for m in pruned]
+    for bundle in written:
+        assert bundle_to_json(bundle, like) == bundle_json(bundle)
+    assert bundle_to_json(like, like) == bundle_json(like)
+
+
+def test_prune_writes_hold_little_beyond_the_file(tmp_path):
+    # prune_bert's shape: the original's kept texts and the writes of the
+    # optimized and both CN p = 0.5 bundles stay within a few file sizes
+    model = init_model(in_dim=32, features=768, bottleneck=64, classes=2, seed=4)
+    path = tmp_path / "bundle.json"
+    save_bundle(WeightBundle(model), path)
+    size = path.stat().st_size
+    like = load_bundle(path)
+    optimized, pruned = _fit_and_masks(like.model, 2, [0.5], [PruneScope.NODE_WISE])
+    written = [WeightBundle(optimized, optimized=True)] + [WeightBundle(m) for m in pruned]
+    tracemalloc.start()
+    try:
+        for k, bundle in enumerate(written):
+            save_bundle(bundle, tmp_path / f"out{k}.json", like=like)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * size
+    assert kept < 1.5 * size
 
 
 def test_loss_svg_two_point_trace():

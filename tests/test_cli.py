@@ -335,6 +335,10 @@ MALFORMED_BUNDLES = [
     ("meta-list", lambda doc: doc["manifest"].update(meta=[1])),
     ("nan-tensor", lambda doc: doc["tensors"]["adapter0.up"][0].__setitem__(0, float("nan"))),
     ("version-2", lambda doc: doc.update(version=2)),
+    ("optimized-string", lambda doc: doc["manifest"].update(optimized="no")),
+    ("optimized-half", lambda doc: doc["manifest"].update(optimized=0.5)),
+    ("bias-not-merged", lambda doc: doc["manifest"]["layers"][0].update(bias_merged=False)),
+    ("has-up-bias-string", lambda doc: doc["manifest"]["layers"][0].update(has_up_bias="no")),
 ]
 
 
