@@ -12,8 +12,9 @@ cannot hold.
 
 The writer renders the manifest with `json.dumps` and each tensor itself,
 joining its number texts into the same `indent=1` layout, and writes the file
-in pieces: the manifest head, each tensor, the tail.  Given `like`, a bundle
-written before, it reuses `like`'s text for every row whose values are all
+in pieces: the manifest head, each tensor, the tail.  A 2-D tensor's rows are
+its rows, and a 1-D tensor is one row.  Given `like`, a bundle written before,
+the writer reuses `like`'s text for every row whose values are all
 bit-identical to the ones at the same place in `like` (so -0.0 and 0.0 stay
 apart).  A row that changed is rebuilt from `like`'s number texts and the
 changed values, each distinct value rendered once.  `like`'s texts are kept
@@ -46,8 +47,9 @@ VERSION = 1
 class _Rendered:
     """A tensor's float64 values and their JSON text, one string per row.
 
-    A row of a 2-D tensor is its whole list as laid out in the file; a 1-D
-    tensor's rows are its numbers.  The tensor's text is `_json_list(rows, 2)`.
+    A row is a whole list of numbers as laid out in the file.  A 1-D tensor
+    is one row, which is also the tensor's text; a 2-D tensor's text is
+    `_json_list(rows, 2)`.
     """
 
     values: np.ndarray
@@ -123,53 +125,45 @@ def _json_list(items: list[str], depth: int) -> str:
     return first + sep.join(items) + last
 
 
-def _row_numbers(row: str) -> list[str]:
-    """The number texts of a non-empty row laid out by `_json_list(numbers, 3)`;
+def _row_numbers(row: str, depth: int) -> list[str]:
+    """The number texts of a non-empty row laid out by `_json_list(numbers, depth)`;
     a number's text holds no comma, so the split is exact."""
-    first, sep, last = _layout(3)
+    first, sep, last = _layout(depth)
     return row[len(first):-len(last)].split(sep)
-
-
-def _fresh_rows(values: np.ndarray) -> list[str]:
-    """Every row's text, rendered a row at a time."""
-    if values.ndim == 1:
-        return list(map(float.__repr__, values.tolist()))
-    return [_json_list(list(map(float.__repr__, row)), 3) for row in values.tolist()]
 
 
 def _render(name: str, arr: np.ndarray, like: _Rendered | None = None) -> _Rendered:
     """The rows of a 1-D or 2-D tensor inside the bundle's "tensors" object.
 
-    Given `like`, a rendering of a tensor of the same shape, only the values
-    whose bits differ from `like`'s are rendered, each distinct one once.
-    Only the rows holding them are rebuilt; the others keep `like`'s strings,
-    and an unchanged tensor reuses `like` whole.  A `like` of another shape is
-    ignored.
+    A 1-D tensor is one row.  Given `like`, a rendering of a tensor of the
+    same shape, only the values whose bits differ from `like`'s are rendered,
+    each distinct one once.  Only the rows holding them are rebuilt; the
+    others keep `like`'s strings, and an unchanged tensor reuses `like` whole.
+    A `like` of another shape is ignored.
     """
     values = np.ascontiguousarray(arr, dtype=np.float64)
     if not np.all(np.isfinite(values)):
         raise DataError(f"tensor {name!r} contains non-finite values")
-    if like is None or like.values.shape != values.shape:
-        return _Rendered(values, _fresh_rows(values))
-    bits = values.view(np.int64)  # compared as bits, so 0.0 and -0.0 stay apart
-    changed = np.nonzero(bits != like.values.view(np.int64))
-    if changed[0].size == 0:
-        return like
-    if changed[0].size == values.size:
-        return _Rendered(values, _fresh_rows(values))
+    depth = values.ndim + 1  # the innermost lists, the rows, sit this deep in the file
+    grid = np.atleast_2d(values)  # not reshape(-1, n): a (k, 0) tensor has no such shape
+    bits = grid.view(np.int64)  # compared as bits, so 0.0 and -0.0 stay apart
+    changed = None
+    if like is not None and like.values.shape == values.shape:
+        changed = np.nonzero(bits != np.atleast_2d(like.values).view(np.int64))
+        if changed[0].size == 0:
+            return like
+    if changed is None or changed[0].size == values.size:
+        return _Rendered(values, [_json_list(list(map(float.__repr__, row)), depth)
+                                  for row in grid.tolist()])
     distinct, which = np.unique(bits[changed], return_inverse=True)
     texts = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())), dtype=object)
     updates = zip(*(index.tolist() for index in changed), texts[which].tolist())
     rows = list(like.rows)
-    if values.ndim == 1:
-        for i, text in updates:
-            rows[i] = text
-    else:
-        for i, entries in groupby(updates, key=itemgetter(0)):
-            numbers = _row_numbers(rows[i])
-            for _, j, text in entries:
-                numbers[j] = text
-            rows[i] = _json_list(numbers, 3)
+    for i, entries in groupby(updates, key=itemgetter(0)):
+        numbers = _row_numbers(rows[i], depth)
+        for _, j, text in entries:
+            numbers[j] = text
+        rows[i] = _json_list(numbers, depth)
     return _Rendered(values, rows)
 
 
@@ -202,8 +196,9 @@ def _pieces(bundle: WeightBundle, like: WeightBundle | None) -> list[str]:
     pieces = [head + '\n "tensors": {']
     sep = "\n  "
     for name, arr in bundle._tensors().items():
-        pieces += [f"{sep}{json.dumps(name)}: ",
-                   _json_list(_render(name, arr, kept.get(name)).rows, 2)]
+        rendered = _render(name, arr, kept.get(name))
+        text = rendered.rows[0] if rendered.values.ndim == 1 else _json_list(rendered.rows, 2)
+        pieces += [f"{sep}{json.dumps(name)}: ", text]
         sep = ",\n  "
     pieces.append("\n }" + tail + "\n")
     return pieces
@@ -245,8 +240,6 @@ def _flag(mapping: dict, key: str) -> bool:
 
 
 def _tensor(tensors: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    if name not in tensors:
-        raise DataError(f"bundle is missing tensor {name!r}")
     try:
         arr = np.array(tensors[name])
     except ValueError:  # ragged nesting
@@ -279,11 +272,17 @@ def load_bundle(path: str | Path) -> WeightBundle:
     entry = _object(layers[0], "layer")
     if entry.get("bias_merged", True) is not True:  # the only layout this reader knows
         raise DataError(f"bundle bias_merged must be true, got {entry['bias_merged']!r:.40}")
+    has_up_bias = _flag(entry, "has_up_bias")
+    names = {"feature_map", "adapter0.down", "adapter0.up", "head.w", "head.b"}
+    if has_up_bias:
+        names.add("adapter0.up_bias")
+    if tensors.keys() != names:
+        odd = min(names ^ tensors.keys())
+        what = "is missing" if odd in names else "has unexpected"
+        raise DataError(f"bundle {what} tensor {odd!r}")
     down = _tensor(tensors, "adapter0.down", _shape(entry.get("down_shape"), "down_shape"))
     up = _tensor(tensors, "adapter0.up", _shape(entry.get("up_shape"), "up_shape"))
-    up_bias = None
-    if _flag(entry, "has_up_bias"):
-        up_bias = _tensor(tensors, "adapter0.up_bias", (up.shape[0],))
+    up_bias = _tensor(tensors, "adapter0.up_bias", (up.shape[0],)) if has_up_bias else None
     feature_map = _tensor(tensors, "feature_map", (features, in_dim))
     head_w = _tensor(tensors, "head.w", (classes, features))
     head_b = _tensor(tensors, "head.b", (classes,))

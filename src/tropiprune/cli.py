@@ -14,10 +14,11 @@ per fraction.  Rows are written in seed order, and the CSV is the same
 bytes as a one-CPU run.  The first failing chunk's error ends the sweep:
 chunks not yet handed to a worker are cancelled.
 
-Every config key is checked: an unknown section or key, or a malformed value,
-exits 2.  The `task`, `model`, `train` and `optim` keys are the keyword
-arguments of `SyntheticTask`, `init_model`, `train` and `OptimConfig`; an
-omitted key takes that callee's default, and the callee checks the values.
+Every command checks every config key: an unknown section or key, or a value
+of the wrong type, exits 2.  The `task`, `model`, `train` and `optim` keys are
+the keyword arguments of `SyntheticTask`, `init_model`, `train` and
+`OptimConfig`, and an omitted key takes that callee's default.  Required keys
+and value ranges are checked where a section is read.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ _KEYS = {**_PARAMS, "prune": ("fractions", "scopes", "methods"), "sweep": ("seed
 
 
 def _load_config(path: str) -> dict:
+    """The config with every key parsed, and the library sections' values coerced."""
     cfg = read_json(path, "config", ConfigError)
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -84,9 +86,18 @@ def _load_config(path: str) -> dict:
             raise ConfigError(f"unknown section {section!r}; expected {list(_KEYS)}")
         if not isinstance(keys, dict):
             raise ConfigError(f"section {section} must be a JSON object")
-        for key in keys:
+        for key, value in keys.items():
             if key not in _KEYS[section]:
                 raise ConfigError(f"unknown key {section}.{key}; expected {list(_KEYS[section])}")
+            if (section, key) in _ITEMS:
+                _list(cfg, section, key)
+            elif section == "out" and not isinstance(value, str):
+                raise ConfigError(f"bad out section: {key} must be a string, got {value!r}")
+        if section in _PARAMS:
+            params = _PARAMS[section]
+            with _errors(f"{section} section"):
+                cfg[section] = {key: _COERCE[params[key].annotation](value)
+                                for key, value in keys.items()}
     return cfg
 
 
@@ -122,21 +133,13 @@ def _float(value) -> float:
 _COERCE = {int: _int, float: _float, str: str}
 
 
-def _settings(cfg: dict, section: str) -> dict:
-    """The keys a library section sets, each coerced to its parameter's annotation."""
-    params = _PARAMS[section]
-    with _errors(f"{section} section"):
-        return {key: _COERCE[params[key].annotation](value)
-                for key, value in cfg.get(section, {}).items()}
-
-
 def _read(cfg: dict, section: str, fn, *args, **fixed):
     """fn(*args, **keys) with the keys of a library section; `fixed` overrides them.
 
-    Omitted keys take fn's own defaults.  A malformed value, or fn's own
-    argument check failing, becomes a ConfigError that names the section.
+    Omitted keys take fn's own defaults.  A missing required key, or fn's
+    own argument check failing, becomes a ConfigError that names the section.
     """
-    keys = {**_settings(cfg, section), **fixed}
+    keys = {**cfg.get(section, {}), **fixed}
     for name, param in _PARAMS[section].items():
         if param.default is param.empty and name not in keys:
             raise ConfigError(f"missing field: {section}.{name}")
@@ -148,11 +151,11 @@ def _seed(cfg: dict, section: str, env: int | None) -> int:
     """The seed a library section runs with: the override, its own key, or the default."""
     if env is not None:
         return env
-    return _settings(cfg, section).get("seed", _PARAMS[section]["seed"].default)
+    return cfg.get(section, {}).get("seed", _PARAMS[section]["seed"].default)
 
 
-def _list(cfg: dict, section: str, key: str, parse, default: list | None = None) -> list:
-    """A non-empty JSON list, each item passed through parse; required without a default."""
+def _list(cfg: dict, section: str, key: str, default: list | None = None) -> list:
+    """A non-empty JSON list, each item parsed; required without a default."""
     keys = cfg.get(section, {})
     if key not in keys and default is None:
         raise ConfigError(f"missing field: {section}.{key}")
@@ -160,7 +163,7 @@ def _list(cfg: dict, section: str, key: str, parse, default: list | None = None)
     with _errors(f"{section} section"):
         if not isinstance(raw, list) or not raw:
             raise ValueError(f"{key} must be a non-empty JSON list, got {raw!r}")
-        return [parse(item) for item in raw]
+        return list(map(_ITEMS[section, key], raw))
 
 
 def _fraction(value) -> float:
@@ -170,15 +173,20 @@ def _fraction(value) -> float:
     return p
 
 
+#: The parser of each item of the list keys, which no library callee takes.
+_ITEMS = {("prune", "fractions"): _fraction,
+          ("prune", "scopes"): lambda s: PruneScope.from_token(str(s)),
+          ("prune", "methods"): str,
+          ("sweep", "seeds"): _int}
+
+
 def _grid(cfg: dict, allowed: tuple[str, ...]):
     """The prune section: fractions, scopes (default CU) and methods (default all allowed)."""
-    methods = _list(cfg, "prune", "methods", str, list(allowed))
+    methods = _list(cfg, "prune", "methods", list(allowed))
     if not set(methods) <= set(allowed):
         raise ConfigError(f"bad prune section: methods {methods} are not a subset of "
                           f"{list(allowed)}")
-    return (_list(cfg, "prune", "fractions", _fraction),
-            _list(cfg, "prune", "scopes", lambda s: PruneScope.from_token(str(s)), ["CU"]),
-            methods)
+    return _list(cfg, "prune", "fractions"), _list(cfg, "prune", "scopes", ["CU"]), methods
 
 
 def _usable_dir(path: Path, source: str) -> Path:
@@ -203,8 +211,6 @@ def _out_dir(cfg: dict) -> Path:
     out = cfg.get("out", {})
     if "dir" not in out:
         raise ConfigError("missing field: out.dir")
-    if not isinstance(out["dir"], str):
-        raise ConfigError(f"bad out section: dir must be a string, got {out['dir']!r}")
     return _usable_dir(Path(out["dir"]), "out section")
 
 
@@ -218,7 +224,7 @@ def _disagreement(dims: dict, actual: dict) -> str | None:
 
 def _task_model(cfg: dict, task: SyntheticTask, model_seed: int) -> tuple[TaskData, TinyModel]:
     """The task's data and the untrained model that the model section describes for it."""
-    clash = _disagreement(_settings(cfg, "model"), {"in_dim": task.dim, "classes": task.classes})
+    clash = _disagreement(cfg.get("model", {}), {"in_dim": task.dim, "classes": task.classes})
     if clash:
         raise ConfigError(f"bad model section: the task has {clash}")
     data = generate_task(task)
@@ -272,7 +278,7 @@ def _distinct_tags(key: str, entries: list, tags: list[str]) -> None:
 
 def cmd_prune(args) -> int:
     cfg = _load_config(args.config)
-    dims = _settings(cfg, "model")
+    dims = cfg.get("model", {})
     optim = _read(cfg, "optim", OptimConfig)
     fractions, scopes, methods = _grid(cfg, ("standard", "tropical"))
     _distinct_tags("fractions", fractions, [_fraction_tag(p) for p in fractions])
@@ -324,7 +330,7 @@ def _sweep_chunk(cfg: dict, tasks: list[SyntheticTask], fractions: list, scopes:
     an earlier stage.
     """
     datas, models = zip(*(_task_model(cfg, task, task.seed + 1) for task in tasks))
-    keys = _settings(cfg, "train")
+    keys = dict(cfg.get("train", {}))
     keys.pop("seed", None)  # each sweep seed trains with its own
     with _errors("train section"):
         trained = train_stack(models, datas, [task.seed + 2 for task in tasks], **keys)
@@ -366,7 +372,7 @@ def cmd_sweep(args) -> int:
     task = _read(cfg, "task", SyntheticTask)
     optim = _read(cfg, "optim", OptimConfig)
     fractions, scopes, methods = _grid(cfg, METHODS)
-    seeds = _list(cfg, "sweep", "seeds", _int, [task.seed])
+    seeds = _list(cfg, "sweep", "seeds", [task.seed])
     env = _env_seed()
     if env is not None:
         seeds = [env]

@@ -83,11 +83,8 @@ def convex_hull_2d(points: Sequence[Sequence[float]]) -> Polytope2D:
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if not hull:
-        # fully collinear: keep the two extreme points
-        hull = [pts[0], pts[-1]]
-    return Polytope2D(tuple(hull))
+    # a pop needs two entries, so collinear input keeps its two extreme points
+    return Polytope2D(tuple(lower[:-1] + upper[:-1]))
 
 
 def minkowski_sum(p1: Polytope2D, p2: Polytope2D) -> Polytope2D:
@@ -174,8 +171,6 @@ def _contains(poly: Polytope2D, p: Point) -> bool:
 def point_to_polytope(p: Point, poly: Polytope2D) -> float:
     """Euclidean distance from a point to a convex region (0 inside)."""
     verts = poly.vertices
-    if len(verts) == 1:
-        return math.hypot(p[0] - verts[0][0], p[1] - verts[0][1])
     if _contains(poly, p):
         return 0.0
     n = len(verts)

@@ -29,8 +29,7 @@ def _svg(width: int, height: int, body: list[str]) -> str:
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if hi == lo:
-        return [lo]
+    """Five evenly spaced ticks; the caller has already widened equal bounds."""
     return [lo + (hi - lo) * k / 4 for k in range(5)]
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import bundle_json
 from tropiprune import AdapterLayer, OptimConfig, PruneScope, apply_mask, convex_hull_2d, run
 from tropiprune.bundle import (WeightBundle, bundle_to_json, load_bundle,
-                               save_bundle)
+                               save_bundle, write_text_atomic)
 from tropiprune.errors import DataError
 from tropiprune.harness import TinyModel, init_model
 from tropiprune.strategies import prune_grid
@@ -66,7 +66,13 @@ def test_bundle_rejects_missing_and_mismatched_tensors(tmp_path):
     del doc["tensors"]["head.b"]
     bad = tmp_path / "missing.json"
     bad.write_text(json.dumps(doc))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="missing tensor 'head.b'"):
+        load_bundle(bad)
+
+    doc = json.loads(path.read_text())
+    doc["tensors"]["adapter0.donw"] = doc["tensors"]["head.b"]
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="unexpected tensor 'adapter0.donw'"):
         load_bundle(bad)
 
     doc = json.loads(path.read_text())
@@ -152,6 +158,32 @@ def test_writer_matches_json_dumps_byte_for_byte(run):
         assert bundle_to_json(bundle, like) == bundle_json(bundle)
     if like is not None:  # the texts kept on like still render like itself
         assert bundle_to_json(like, like) == bundle_json(like)
+
+
+@pytest.mark.parametrize("in_dim, classes", [(0, 2), (3, 0), (0, 0)])
+def test_writer_matches_json_dumps_on_empty_tensors(in_dim, classes):
+    # a (features, 0) feature map, a (0, features) head.w and a zero-length head.b
+    model = sample_model()
+    rng = np.random.default_rng(5)
+    features = model.features
+    empty = TinyModel(rng.normal(size=(features, in_dim)), model.adapter,
+                      rng.normal(size=(classes, features)), rng.normal(size=classes))
+    like = WeightBundle(empty)
+    up = model.adapter.up.copy()
+    up[0, 0] += 1.0
+    edited = WeightBundle(replace(empty, adapter=AdapterLayer(model.adapter.down, up)))
+    for bundle in (like, edited):
+        assert bundle_to_json(bundle) == bundle_to_json(bundle, like) == bundle_json(bundle)
+
+
+def test_atomic_write_removes_its_temp_file_on_failure(tmp_path):
+    with pytest.raises(TypeError):
+        write_text_atomic(tmp_path / "a.txt", "text", 5)  # the write fails
+    (tmp_path / "b").mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_text_atomic(tmp_path / "b", "text")  # the rename fails
+    assert [p.name for p in tmp_path.iterdir()] == ["b"]
+    assert list((tmp_path / "b").iterdir()) == []
 
 
 def test_writer_keeps_signed_zeros_apart_from_like():

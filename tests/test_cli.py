@@ -173,6 +173,18 @@ MALFORMED = [
     ("prune", "optim", "lr", float("inf")),
     ("train", "train", "lr", float("inf")),
     ("sweep", "train", "lr", float("inf")),
+    # a key the command does not read went unchecked: exit 0
+    ("train", "optim", "iterations", "abc"),
+    ("train", "optim", "lr", True),
+    ("prune", "train", "steps", "abc"),
+    ("prune", "task", "n_train", 2.5),
+    ("prune", "sweep", "seeds", "x"),
+    ("train", "prune", "fractions", ["x"]),
+    # exited 2 before too, untested; the sweep's train key now exits before any fork
+    ("sweep", "train", "steps", "abc"),
+    ("train", "task", None, [1]),
+    ("prune", "prune", "fractions", [1.5]),
+    ("train", "out", None, {}),
 ]
 
 
@@ -203,6 +215,24 @@ def test_malformed_config_exits_2(tmp_path, capsys, trained_bundle,
     assert not (tmp_path / "run").exists() and not (tmp_path / "r.csv").exists()
 
 
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    assert main(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "config error: config must be a JSON object\n"
+
+
+def test_os_error_exits_3(tmp_path, capsys, monkeypatch):
+    def no_space(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_text_atomic", no_space)
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({"trace": [[0, 1.0], [1, 0.5]]}))
+    assert main(["plot-loss", "--trace", str(trace), "--out", str(tmp_path / "loss.svg")]) == 3
+    assert capsys.readouterr().err == "data error: [Errno 28] No space left on device\n"
+
+
 def test_readme_config_resolves_through_the_readers(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("```json\n", 1)[1].split("```", 1)[0]
@@ -217,13 +247,13 @@ def test_readme_config_resolves_through_the_readers(tmp_path):
     model = cli._read(cfg, "model", init_model, in_dim=task.dim, classes=task.classes)
     assert (model.features, model.adapter.bottleneck) == \
         (doc["model"]["features"], doc["model"]["bottleneck"])
-    assert cli._settings(cfg, "model") == doc["model"]
-    assert cli._settings(cfg, "train") == doc["train"]
+    assert cfg["model"] == doc["model"]
+    assert cfg["train"] == doc["train"]
     fractions, scopes, methods = cli._grid(cfg, METHODS)
     assert fractions == doc["prune"]["fractions"]
     assert [s.value for s in scopes] == doc["prune"]["scopes"]
     assert methods == doc["prune"]["methods"]
-    assert cli._list(cfg, "sweep", "seeds", int) == doc["sweep"]["seeds"]
+    assert cli._list(cfg, "sweep", "seeds") == doc["sweep"]["seeds"]
     assert cli._out_dir(cfg) == Path(doc["out"]["dir"])
 
 
@@ -339,6 +369,13 @@ MALFORMED_BUNDLES = [
     ("optimized-half", lambda doc: doc["manifest"].update(optimized=0.5)),
     ("bias-not-merged", lambda doc: doc["manifest"]["layers"][0].update(bias_merged=False)),
     ("has-up-bias-string", lambda doc: doc["manifest"]["layers"][0].update(has_up_bias="no")),
+    ("bias-without-flag", lambda doc: (
+        doc["manifest"]["layers"][0].pop("has_up_bias"),
+        doc["tensors"].update({"adapter0.up_bias": [0.5] * len(doc["tensors"]["adapter0.up"])}))),
+    ("extra-tensor", lambda doc: doc["tensors"].update(extra=[1.0])),
+    ("bottleneck-mismatch", lambda doc: (  # each tensor matches its manifest shape
+        doc["tensors"].update({"adapter0.up": [row[:-1] for row in doc["tensors"]["adapter0.up"]]}),
+        doc["manifest"]["layers"][0]["up_shape"].__setitem__(1, 3))),
 ]
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropiprune import (TropicalPolynomial, Zonotope, convex_hull_2d,
                         dual_subdivision_points, hausdorff_distance,
@@ -195,6 +197,18 @@ def test_hausdorff_degenerate_shapes():
     seg = convex_hull_2d([(0, 0), (3, 4)])
     assert hausdorff_distance(pt, seg) == pytest.approx(5.0, abs=1e-12)
     assert point_to_polytope((3.0, 4.0), pt) == 5.0
+
+
+coords = st.one_of(st.sampled_from([0.0, -0.0]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=500, deadline=None)
+@given(coords, coords, coords, coords)
+def test_distance_to_a_single_vertex_is_hypot(px, py, vx, vy):
+    # measured over the degenerate edge (v, v), bit for bit
+    got = point_to_polytope((px, py), convex_hull_2d([(vx, vy)]))
+    assert got.hex() == math.hypot(px - vx, py - vy).hex()
 
 
 def test_hausdorff_matches_sampled_boundaries():

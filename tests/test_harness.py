@@ -39,6 +39,8 @@ def test_task_validation():
         SyntheticTask("blobs", dim=1)
     with pytest.raises(ValueError):
         SyntheticTask("blobs", noise=-0.5)
+    with pytest.raises(ValueError, match="classes must be at least 2"):
+        SyntheticTask("blobs", classes=1)
 
 
 def test_generation_is_deterministic():
@@ -234,6 +236,14 @@ def test_train_stack_rejects_mixed_up_bias():
                                                       np.ones(16))]
     with pytest.raises(ValueError, match="up bias on every model's adapter or on none"):
         train_stack(models, [data] * 2, [3, 4], steps=1)
+
+
+@pytest.mark.parametrize("datas, seeds", [(1, 2), (2, 1), (2, 3)])
+def test_train_stack_rejects_lists_of_unequal_length(datas, seeds):
+    data = generate_task(blobs_task())
+    models = [init_model(8, 16, 4, 3, seed=1), init_model(8, 16, 4, 3, seed=2)]
+    with pytest.raises(ValueError, match="one data set and one seed per model"):
+        train_stack(models, [data] * datas, list(range(seeds)), steps=1)
 
 
 def test_train_reports_non_finite_weights_after_the_last_step():

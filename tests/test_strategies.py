@@ -121,6 +121,8 @@ def test_tropical_mask_shape_mismatch():
     rng = np.random.default_rng(7)
     with pytest.raises(ValueError):
         tropical_mask([random_layer(rng, d=4)], [random_layer(rng, d=5)], 0.5, CB)
+    with pytest.raises(ValueError, match="layer lists differ in length"):
+        tropical_mask([random_layer(rng)], [], 0.5, CB)
 
 
 def test_achieved_fraction_never_exceeds_requested():
@@ -263,6 +265,16 @@ def test_apply_mask():
     assert np.array_equal(pruned.down[kept], layer.down[kept])
     # originals untouched
     assert not np.all(layer.down == 0.0)
+
+
+def test_apply_mask_rejects_a_mask_of_other_layers():
+    rng = np.random.default_rng(22)
+    layer = random_layer(rng, d=4)
+    mask = standard_mask([layer, layer], 0.5, CB)
+    with pytest.raises(ValueError, match="does not cover the layer list"):
+        apply_mask([layer], mask)
+    with pytest.raises(ValueError, match="do not match layer shapes"):
+        apply_mask([random_layer(rng, d=5)], standard_mask([layer], 0.5, CB))
 
 
 def test_apply_mask_then_forward_is_finite():
