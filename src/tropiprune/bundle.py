@@ -8,18 +8,20 @@ sort_keys=True)` plus a trailing newline, where every tensor is a nested list
 of float64 values written as `repr(float)`.  Finite 64-bit values therefore
 survive a save/load round trip bit for bit, and the same bundle always
 writes the same bytes.  The writer refuses non-finite values, which JSON
-cannot hold.
+cannot hold, before it renders anything.
 
 The writer renders the manifest with `json.dumps` and each tensor itself,
-joining its number texts into the same `indent=1` layout, and writes the file
-in pieces: the manifest head, each tensor, the tail.  A 2-D tensor's rows are
-its rows, and a 1-D tensor is one row.  Given `like`, a bundle written before,
-the writer reuses `like`'s text for every row whose values are all
-bit-identical to the ones at the same place in `like` (so -0.0 and 0.0 stay
-apart).  A row that changed is rebuilt from `like`'s number texts and the
-changed values, each distinct value rendered once.  `like`'s texts are kept
-on that bundle as one string per row, so `prune` renders each value of the
-original once however many pruned bundles it writes.
+joining its number texts into the same `indent=1` layout.  It writes each
+tensor's text as soon as that tensor is rendered, so a save never holds the
+whole file's text.  A 2-D tensor's rows are its rows, and a
+1-D tensor is one row.  Given `like`, a bundle written before, the writer
+reuses `like`'s text for every row whose values are all bit-identical to the
+ones at the same place in `like` (so -0.0 and 0.0 stay apart).  A row that
+changed is rebuilt from `like`'s number texts and the changed values, each
+distinct value rendered once; a tensor whose distinct changed values
+outnumber half its entries is rendered afresh instead.  `like`'s texts are
+kept on that bundle as one string per row, so `prune` renders each value of
+the original once however many pruned bundles it writes.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import groupby
-from operator import itemgetter
+from itertools import chain, islice
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -63,7 +65,11 @@ class WeightBundle:
     meta: dict = field(default_factory=dict)
 
     def _tensors(self) -> dict[str, np.ndarray]:
-        """Every tensor by its name in the file, in sorted-name order."""
+        """Every tensor by its name in the file, in sorted-name order, as contiguous float64.
+
+        Raises:
+            DataError: naming the first tensor that holds a non-finite value.
+        """
         model = self.model
         adapter = model.adapter
         tensors = {
@@ -75,17 +81,23 @@ class WeightBundle:
         }
         if adapter.up_bias is not None:
             tensors["adapter0.up_bias"] = adapter.up_bias
-        return dict(sorted(tensors.items()))
+        tensors = {name: np.ascontiguousarray(arr, dtype=np.float64)
+                   for name, arr in sorted(tensors.items())}
+        for name, values in tensors.items():
+            if not np.all(np.isfinite(values)):
+                raise DataError(f"tensor {name!r} contains non-finite values")
+        return tensors
 
     @cached_property
     def _rendered(self) -> dict[str, _Rendered]:
         """Each tensor's row texts, rendered on first use and freed with the bundle."""
-        return {name: _render(name, arr) for name, arr in self._tensors().items()}
+        return {name: _Rendered(values, _rows(values, None))
+                for name, values in self._tensors().items()}
 
 
-def write_text_atomic(path: str | Path, *pieces: str) -> None:
-    """Write the pieces' concatenation via a sibling temp file and rename, so
-    readers never see halves."""
+def _write_atomic(path: str | Path, pieces: Iterable[str]) -> None:
+    """Write each piece as it comes to a sibling temp file, then rename it over
+    `path`, so readers never see halves."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
@@ -97,6 +109,12 @@ def write_text_atomic(path: str | Path, *pieces: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_text_atomic(path: str | Path, *pieces: str) -> None:
+    """Write the pieces' concatenation via a sibling temp file and rename, so
+    readers never see halves."""
+    _write_atomic(path, pieces)
 
 
 def read_json(path: str | Path, what: str, error: type[Exception]):
@@ -132,43 +150,54 @@ def _row_numbers(row: str, depth: int) -> list[str]:
     return row[len(first):-len(last)].split(sep)
 
 
-def _render(name: str, arr: np.ndarray, like: _Rendered | None = None) -> _Rendered:
-    """The rows of a 1-D or 2-D tensor inside the bundle's "tensors" object.
+def _rows(values: np.ndarray, like: _Rendered | None) -> list[str]:
+    """The text of each row of a contiguous float64 tensor of 1 or 2 dimensions.
 
     A 1-D tensor is one row.  Given `like`, a rendering of a tensor of the
-    same shape, only the values whose bits differ from `like`'s are rendered,
-    each distinct one once.  Only the rows holding them are rebuilt; the
-    others keep `like`'s strings, and an unchanged tensor reuses `like` whole.
-    A `like` of another shape is ignored.
+    same shape, the rows whose bits all equal `like`'s are `like`'s strings,
+    and only the values whose bits differ are rendered, each distinct one
+    once, unless they outnumber half the tensor's entries: then every row is
+    rendered afresh.  A `like` of another shape is ignored.
     """
-    values = np.ascontiguousarray(arr, dtype=np.float64)
-    if not np.all(np.isfinite(values)):
-        raise DataError(f"tensor {name!r} contains non-finite values")
     depth = values.ndim + 1  # the innermost lists, the rows, sit this deep in the file
     grid = np.atleast_2d(values)  # not reshape(-1, n): a (k, 0) tensor has no such shape
-    bits = grid.view(np.int64)  # compared as bits, so 0.0 and -0.0 stay apart
-    changed = None
     if like is not None and like.values.shape == values.shape:
-        changed = np.nonzero(bits != np.atleast_2d(like.values).view(np.int64))
-        if changed[0].size == 0:
-            return like
-    if changed is None or changed[0].size == values.size:
-        return _Rendered(values, [_json_list(list(map(float.__repr__, row)), depth)
-                                  for row in grid.tolist()])
-    distinct, which = np.unique(bits[changed], return_inverse=True)
-    texts = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())), dtype=object)
-    updates = zip(*(index.tolist() for index in changed), texts[which].tolist())
-    rows = list(like.rows)
-    for i, entries in groupby(updates, key=itemgetter(0)):
-        numbers = _row_numbers(rows[i], depth)
-        for _, j, text in entries:
-            numbers[j] = text
-        rows[i] = _json_list(numbers, depth)
-    return _Rendered(values, rows)
+        bits = grid.view(np.int64)  # compared as bits, so 0.0 and -0.0 stay apart
+        changed = bits != np.atleast_2d(like.values).view(np.int64)
+        distinct, which = np.unique(bits[changed], return_inverse=True)
+        if 2 * len(distinct) <= values.size:
+            texts = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())),
+                             dtype=object)
+            return _patched(like.rows, changed, texts[which], depth)
+    # row by row: the floats of the whole tensor at once would take more than its text
+    return [_json_list(list(map(float.__repr__, row.tolist())), depth) for row in grid]
 
 
-def _pieces(bundle: WeightBundle, like: WeightBundle | None) -> list[str]:
-    """The bundle's file text in pieces: the manifest head, each tensor, the tail."""
+def _patched(rows: list[str], changed: np.ndarray, texts: np.ndarray,
+             depth: int) -> list[str]:
+    """`rows` with the number texts where `changed` is set replaced, one row at a time.
+
+    The changed entries take `texts` in row-major order.
+    """
+    rows = list(rows)
+    entries = zip(memoryview(np.nonzero(changed)[1]), texts)
+    for i, count in enumerate(changed.sum(axis=1).tolist()):
+        if count:
+            numbers = _row_numbers(rows[i], depth)
+            for j, text in islice(entries, count):
+                numbers[j] = text
+            rows[i] = _json_list(numbers, depth)
+    return rows
+
+
+def _pieces(bundle: WeightBundle, like: WeightBundle | None) -> Iterator[str]:
+    """The bundle's file text in pieces: the manifest head, each tensor, the tail.
+
+    Every value is checked, and `like`'s texts are rendered, when this is
+    called; each tensor is rendered only as its pieces are taken.
+    """
+    tensors = bundle._tensors()
+    kept = like._rendered if like is not None else {}
     model = bundle.model
     adapter = model.adapter
     manifest = {
@@ -192,16 +221,19 @@ def _pieces(bundle: WeightBundle, like: WeightBundle | None) -> list[str]:
                            "tensors": {}}, indent=1, sort_keys=True)
     # only a top-level key sits one space in: strings hold no raw newline
     head, _, tail = skeleton.partition('\n "tensors": {}')
-    kept = like._rendered if like is not None else {}
-    pieces = [head + '\n "tensors": {']
+    return chain([head + '\n "tensors": {'], _tensor_pieces(tensors, kept),
+                 ["\n }" + tail + "\n"])
+
+
+def _tensor_pieces(tensors: dict[str, np.ndarray],
+                   kept: dict[str, _Rendered]) -> Iterator[str]:
+    """The "tensors" object's members in pieces, each tensor rendered as its turn comes."""
     sep = "\n  "
-    for name, arr in bundle._tensors().items():
-        rendered = _render(name, arr, kept.get(name))
-        text = rendered.rows[0] if rendered.values.ndim == 1 else _json_list(rendered.rows, 2)
-        pieces += [f"{sep}{json.dumps(name)}: ", text]
+    for name, values in tensors.items():
+        rows = _rows(values, kept.get(name))
+        text = rows[0] if values.ndim == 1 else _json_list(rows, 2)
+        yield f"{sep}{json.dumps(name)}: {text}"
         sep = ",\n  "
-    pieces.append("\n }" + tail + "\n")
-    return pieces
 
 
 def bundle_to_json(bundle: WeightBundle, like: WeightBundle | None = None) -> str:
@@ -211,12 +243,13 @@ def bundle_to_json(bundle: WeightBundle, like: WeightBundle | None = None) -> st
 
 def save_bundle(bundle: WeightBundle, path: str | Path,
                 like: WeightBundle | None = None) -> None:
-    """Write the bundle atomically; see `bundle_to_json` for `like`.
+    """Write the bundle atomically, each tensor as soon as it is rendered; see
+    `bundle_to_json` for `like`.
 
-    Every piece is rendered before the file is opened, so a refused value
+    Every value is checked before the file is opened, so a refused value
     raises before any file or directory is made.
     """
-    write_text_atomic(path, *_pieces(bundle, like))
+    _write_atomic(path, _pieces(bundle, like))
 
 
 def _object(value, what: str) -> dict:

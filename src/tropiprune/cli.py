@@ -56,9 +56,10 @@ SEED_ENV = "TROPIPRUNE_SEED"
 #: a stack of 4, 0.034 s in 8 and 0.030 s in 16 (best of 5; 2 CPUs, one BLAS
 #: thread, numpy 2.4); training is 97-98% of it, since each fit ends at its
 #: first repeated iterate.  Past 8 little is left to gain, while every member
-#: holds one copy of its training features, 12 MB at 768 wide with 2000 rows:
-#: a worker of a 16-seed 768x64 sweep peaks at 168 MB RSS (267 MB when each
-#: member's features were held twice).
+#: adds its own weights, gradients and scoring buffers: a worker of a 16-seed
+#: 768x64 sweep (README config, 200 training steps, 2 fit iterations, one
+#: fraction) peaks at 116 MB RSS (161 MB when each member's training features
+#: were held whole, 12 MB each at 2000 rows).
 MAX_STACK = 8
 
 CSV_HEADER = ["task", "method", "scope", "p", "p_hat", "retained_pct",
@@ -299,7 +300,9 @@ def cmd_prune(args) -> int:
                                                up=optimized[0].up))
     # like=bundle: every row a written bundle shares with the original reuses
     # the original's text, rendered once for the whole grid; a changed row is
-    # rebuilt from it, and a pruned row's zeros are rendered once per tensor
+    # rebuilt from it, and a pruned row's zeros are rendered once per tensor.
+    # The optimized bundle's adapter, nearly every value of which changed, is
+    # rendered afresh
     save_bundle(WeightBundle(opt_model, optimized=True, meta=bundle.meta),
                 out / "optimized.json", like=bundle)
     report = {"total_params": sum(l.param_count for l in originals), "cells": []}

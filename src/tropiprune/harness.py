@@ -148,9 +148,9 @@ def init_model(in_dim: int, features: int = 16, bottleneck: int = 4,
     return TinyModel(feature_map, adapter, np.zeros((classes, features)), np.zeros(classes))
 
 
-def featurize(model: TinyModel, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """relu(x @ feature_map.T), written into `out` when given, as numpy's `out=` does."""
-    h = np.matmul(np.asarray(x, dtype=np.float64), model.feature_map.T, out=out)
+def featurize(model: TinyModel, x: np.ndarray) -> np.ndarray:
+    """relu(x @ feature_map.T)."""
+    h = np.asarray(x, dtype=np.float64) @ model.feature_map.T
     return np.maximum(h, 0.0, out=h)
 
 
@@ -158,22 +158,6 @@ def logits(model: TinyModel, x: np.ndarray) -> np.ndarray:
     h = featurize(model, x)
     adapted = forward(model.adapter, h, residual=True)
     return adapted @ model.head_w.T + model.head_b
-
-
-def _softmax_xent(z: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax probabilities and each member's mean cross entropy of its labels.
-
-    z holds (S, batch, classes) logits and `labels` the flat position of
-    each row's label logit in z.  The loss is logsumexp(shifted) - shifted[y]
-    on max-shifted logits: the shifted exponentials sum to at least 1 and
-    shifted[y] <= 0, so it never goes negative, not even once a batch is
-    classified with probability 1.
-    """
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    total = e.sum(axis=-1, keepdims=True)
-    loss = (np.log(total[..., 0]) - shifted.take(labels)).sum(axis=-1) / z.shape[-2]
-    return e / total, loss
 
 
 @dataclass(frozen=True)
@@ -184,18 +168,26 @@ class TrainResult:
 
 #: Batch indices drawn at once per member, in whole steps.  Drawing a run's
 #: indices in blocks gives the same stream as one draw for the whole run, and
-#: the memory they take stays fixed however many steps the run has.
+#: the memory they take stays fixed however many steps the run has.  A block
+#: is also the span of the training loop's bookkeeping: its steps' label
+#: positions are found at once, and their losses are reduced and checked for
+#: divergence at its end.
 _INDEX_BLOCK = 1 << 15
 
 
 def _batches(rngs: list[np.random.Generator], sizes: list[int], steps: int, batch: int):
-    """Each step's (S, batch) row indices into the members' training rows, stacked."""
+    """Each index block's (steps, S, batch) row indices into the members' training rows, stacked.
+
+    Every block is a view of one buffer, which the next block overwrites.
+    """
     offsets = np.cumsum([0, *sizes[:-1]])[:, None]
     block = max(1, _INDEX_BLOCK // batch)
+    out = np.empty((min(block, steps), len(rngs), batch), dtype=np.int64)
     for start in range(0, steps, block):
-        count = min(block, steps - start)
-        yield from np.stack([rng.integers(0, n, size=(count, batch))
-                             for rng, n in zip(rngs, sizes)], axis=1) + offsets
+        rows = out[:min(block, steps - start)]
+        for k, (rng, n) in enumerate(zip(rngs, sizes)):
+            rows[:, k] = rng.integers(0, n, size=(len(rows), batch))
+        yield np.add(rows, offsets, out=rows)
 
 
 def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
@@ -212,10 +204,13 @@ def train_stack(models: Sequence[TinyModel], datas: Sequence[TaskData], seeds: S
     Model k trains on datas[k] with seed seeds[k].  Each numpy call of a
     step serves the whole stack, so at small shapes, where per-call overhead
     sets the time, S models train in little more than the time of one.
-    Entry k is bit for bit what train(models[k], datas[k], steps, lr, batch,
-    seeds[k]) returns, or the NumericError it raises; a member whose loss
-    turns non-finite no longer counts, and the run stops once every member
-    has failed.  Either every model's adapter has an up bias or none has.
+    Each step featurizes only the rows it draws, so no member's training
+    features are ever held whole.  Entry k is bit for bit what
+    train(models[k], datas[k], steps, lr, batch, seeds[k]) returns, or the
+    NumericError it raises.  The entries end at the first member that
+    fails: the ones after it are not returned, and once member 0 has failed
+    the run ends with the index block (`_INDEX_BLOCK`) its failure fell in.
+    Either every model's adapter has an up bias or none has.
     """
     if steps < 0 or not 0 < lr < math.inf or batch <= 0:  # NaN fails it too
         raise ValueError("steps must be >= 0, lr positive and finite, and batch positive")
@@ -235,15 +230,12 @@ def train_stack(models: Sequence[TinyModel], datas: Sequence[TaskData], seeds: S
     d_down, d_up, d_head_w, d_head_b = _views(grads, shapes)
     for tensor, weights in zip(tensors, zip(*members)):
         np.stack(weights, out=tensor)
-    # each member's features go straight into its own rows of one buffer: at
-    # BERT-base width they take MBs, more than everything else a run holds
     sizes = [len(data.x_train) for data in datas]
+    x_all = np.concatenate([data.x_train for data in datas], dtype=np.float64)
+    y_all = np.concatenate([data.y_train for data in datas], dtype=np.int64)
+    maps = np.stack([model.feature_map for model in models]).mT
     stack, width = len(models), models[0].features
-    h_all = np.empty((sum(sizes), width))
-    for model, data, rows in zip(models, datas, np.split(h_all, np.cumsum(sizes)[:-1])):
-        featurize(model, data.x_train, out=rows)
-    y_all = np.concatenate([data.y_train for data in datas])
-    # every step gathers its rows into one buffer whose last column is the bias
+    # every step featurizes its rows into one buffer whose last column is the bias
     aug = np.ones((stack, batch, width + 1))
     h = aug[..., :width]
     classes = head_w.shape[1]
@@ -252,39 +244,63 @@ def train_stack(models: Sequence[TinyModel], datas: Sequence[TaskData], seeds: S
     bias = head_b[:, None, :]  # a view, so it follows head_b's in-place steps
     up_bias = None if biases[0] is None else np.stack(biases)[:, None, :]
     losses = np.empty((steps, stack))
+    # a block's label positions, and its softmax sums and label logits, from
+    # which its losses are reduced
+    totals = np.empty((min(steps, max(1, _INDEX_BLOCK // batch)), stack, batch))
+    picked = np.empty_like(totals)
+    positions = np.empty_like(totals, dtype=np.int64)
     errors: list[NumericError | None] = [None] * stack
+    start = 0
     # a diverging run overflows before its loss turns non-finite; the
     # NumericError below reports it, so numpy's own warnings stay quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        for step, idx in enumerate(_batches(rngs, sizes, steps, batch)):
-            np.take(h_all, idx, axis=0, out=h)
-            labels = row_starts + y_all[idx]
-            pre = aug @ down.mT
-            hidden = np.maximum(pre, 0.0)
-            # the frozen up bias, then the residual: the order `forward` adds them in
-            adapted = hidden @ up.mT
-            if up_bias is not None:
-                adapted += up_bias
-            adapted += h
-            z = adapted @ head_w.mT + bias
-            dz, loss = _softmax_xent(z, labels)
-            losses[step] = loss
-            if not np.isfinite(loss).all():
-                for k in np.flatnonzero(~np.isfinite(loss)):
-                    if errors[k] is None:
-                        errors[k] = NumericError(
-                            f"training diverged at step {step}: {float(loss[k])!r}")
-                if None not in errors:
-                    break
-            dz.reshape(-1)[labels] -= 1.0
-            dz /= batch
-            np.matmul(dz.mT, adapted, out=d_head_w)
-            dz.sum(axis=-2, out=d_head_b)
-            d_adapted = dz @ head_w
-            np.matmul(d_adapted.mT, hidden, out=d_up)
-            d_hidden = (d_adapted @ up) * (pre > 0.0)
-            np.matmul(d_hidden.mT, aug, out=d_down)
-            params -= lr * grads
+        for block in _batches(rngs, sizes, steps, batch):
+            count = len(block)
+            labels = np.take(y_all, block, out=positions[:count])
+            labels += row_starts
+            for i, (idx, label) in enumerate(zip(block, labels)):
+                # each member's `featurize` of the step's rows
+                np.maximum(np.matmul(x_all.take(idx, axis=0), maps, out=h), 0.0, out=h)
+                pre = aug @ down.mT
+                hidden = np.maximum(pre, 0.0)
+                # the frozen up bias, then the residual: the order `forward` adds them in
+                adapted = hidden @ up.mT
+                if up_bias is not None:
+                    adapted += up_bias
+                adapted += h
+                z = adapted @ head_w.mT + bias
+                # softmax of the max-shifted logits: their exponentials sum to at
+                # least 1 and the label's shifted logit is <= 0, so the loss
+                # log(total) - shifted[y] is never negative, not even once a
+                # batch is classified with probability 1
+                z -= z.max(axis=-1, keepdims=True)
+                z.take(label, out=picked[i])
+                dz = np.exp(z)
+                total = dz.sum(axis=-1, out=totals[i])
+                dz /= total[..., None]
+                dz.reshape(-1)[label] -= 1.0
+                dz /= batch
+                np.matmul(dz.mT, adapted, out=d_head_w)
+                dz.sum(axis=-2, out=d_head_b)
+                d_adapted = dz @ head_w
+                np.matmul(d_adapted.mT, hidden, out=d_up)
+                d_hidden = (d_adapted @ up) * (pre > 0.0)
+                np.matmul(d_hidden.mT, aug, out=d_down)
+                params -= lr * grads
+            block_losses = losses[start:start + count]
+            terms = np.log(totals[:count], out=totals[:count])
+            terms -= picked[:count]
+            terms.sum(axis=-1, out=block_losses)
+            block_losses /= batch
+            diverged = ~np.isfinite(block_losses)
+            for k in np.flatnonzero(diverged.any(axis=0)):
+                if errors[k] is None:
+                    step = int(np.argmax(diverged[:, k]))
+                    errors[k] = NumericError(f"training diverged at step {start + step}: "
+                                             f"{float(block_losses[step, k])!r}")
+            if errors[0] is not None:
+                break
+            start += count
     outcomes: list[TrainResult | NumericError] = []
     for k, model in enumerate(models):
         if errors[k] is None and not all(np.all(np.isfinite(w[k]))
@@ -293,7 +309,7 @@ def train_stack(models: Sequence[TinyModel], datas: Sequence[TaskData], seeds: S
                 f"training diverged: non-finite weights after {steps} steps")
         if errors[k] is not None:
             outcomes.append(errors[k])
-            continue
+            break
         # AdapterLayer copies its matrices; the head is copied here, so that no
         # result holds a view of the whole stack
         trained = TinyModel(model.feature_map, AdapterLayer(down[k], up[k], biases[k]),
@@ -306,17 +322,18 @@ def train(model: TinyModel, data: TaskData, steps: int = 2000, lr: float = 0.05,
           batch: int = 32, seed: int = 0) -> TrainResult:
     """Mini-batch SGD on softmax cross entropy over adapter and head only.
 
-    Deterministic for a given seed; the featurizer is never touched.  An
-    adapter's up bias stays frozen: each step adds it to the adapter's
+    Deterministic for a given seed; the featurizer is never touched, and
+    each step featurizes only the rows of its batch.  An adapter's up bias stays frozen: each step adds it to the adapter's
     output before the residual, as `forward` does, and the trained model
     carries it unchanged.  Returns the trained model together with the
     per-step batch losses.
     This is `train_stack` on a stack of one.
 
     Raises:
-        NumericError: at the first step whose loss is not finite, or when the
-            last step leaves a non-finite weight, with numpy's overflow and
-            invalid-value warnings silenced.
+        NumericError: naming the first step whose loss is not finite, once
+            the index block (`_INDEX_BLOCK`) that step fell in has run, or
+            when the last step leaves a non-finite weight, with numpy's
+            overflow and invalid-value warnings silenced.
     """
     (outcome,) = train_stack([model], [data], [seed], steps, lr, batch)
     if isinstance(outcome, NumericError):

@@ -279,6 +279,27 @@ def test_prune_writes_hold_little_beyond_the_file(tmp_path):
     assert kept < 1.5 * size
 
 
+def test_optimized_write_holds_under_twice_the_file(tmp_path):
+    # prune_bert's optimized bundle: the fit moves nearly every `down` and
+    # `up` entry, and the write holds one tensor's text at a time, never the
+    # whole file's
+    model = init_model(in_dim=32, features=768, bottleneck=64, classes=2, seed=4)
+    like = WeightBundle(model)
+    fit = run(model.adapter, OptimConfig(iterations=2, l1_pos=0.001, l1_neg=0.001, tol=0.0))
+    for before, after in ((model.adapter.down, fit.down), (model.adapter.up, fit.up)):
+        assert np.mean(before != after) >= 0.99
+    optimized = replace(model, adapter=replace(model.adapter, down=fit.down, up=fit.up))
+    like._rendered  # the original's texts, kept on it as `prune`'s first write keeps them
+    path = tmp_path / "optimized.json"
+    tracemalloc.start()
+    try:
+        save_bundle(WeightBundle(optimized, optimized=True), path, like=like)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * path.stat().st_size
+
+
 def test_loss_svg_two_point_trace():
     svg = loss_curve_svg([(0, 3.0), (1, 1.0)])
     root = ET.fromstring(svg)

@@ -6,6 +6,7 @@ import pytest
 
 from tropiprune import (AdapterLayer, OptimConfig, PruneScope, SyntheticTask, evaluate,
                         forward, generate_task, run, sweep)
+from tropiprune import harness
 from tropiprune.errors import NumericError
 from tropiprune.harness import (METHODS, SweepRecord, TinyModel, _macro_f1, _scored_grid,
                                 _stack_logits, _stack_scores, featurize, init_model, logits,
@@ -182,23 +183,45 @@ def test_train_index_memory_is_fixed():
 
 
 def test_train_stack_members_fail_on_their_own():
-    # member 1's huge head diverges within a few steps; the others train on
+    # member 1's huge head diverges within a few steps; member 0 trains on,
+    # and member 2, after the first failure, is not returned
     data = generate_task(blobs_task())
     models = [init_model(8, 16, 4, 3, seed=s) for s in (1, 2, 3)]
     models[1] = TinyModel(models[1].feature_map, models[1].adapter,
                           np.full(models[1].head_w.shape, 1e300), models[1].head_b)
     outcomes = train_stack(models, [data] * 3, [4, 5, 6], steps=50)
+    assert len(outcomes) == 2
     with pytest.raises(NumericError, match="training diverged at step 1: nan") as alone:
         train(models[1], data, steps=50, seed=5)
     assert isinstance(outcomes[1], NumericError) and str(outcomes[1]) == str(alone.value)
-    for k in (0, 2):
-        alone = train(models[k], data, steps=50, seed=4 + k)
-        assert np.array_equal(outcomes[k].model.adapter.down, alone.model.adapter.down)
-        assert outcomes[k].losses == alone.losses
-        # each trained model owns its weights, not views of the whole stack
-        model = outcomes[k].model
-        for a in (model.adapter.down, model.adapter.up, model.head_w, model.head_b):
-            assert a.base is None or a.base.nbytes <= a.nbytes
+    alone = train(models[0], data, steps=50, seed=4)
+    assert np.array_equal(outcomes[0].model.adapter.down, alone.model.adapter.down)
+    assert outcomes[0].losses == alone.losses
+    # the trained model owns its weights, not views of the whole stack
+    model = outcomes[0].model
+    for a in (model.adapter.down, model.adapter.up, model.head_w, model.head_b):
+        assert a.base is None or a.base.nbytes <= a.nbytes
+
+
+def test_train_stack_ends_with_the_block_member_0_fails_in(monkeypatch):
+    # member 0's logits overflow at step 0, so no entry the stack returns
+    # needs the other 19,999 steps: the run draws one index block and stops
+    data = generate_task(blobs_task())
+    models = [init_model(8, 16, 4, 3, seed=s) for s in (1, 2)]
+    models[0] = replace(models[0], head_w=np.full(models[0].head_w.shape, 1e308))
+    draw, draws = harness._batches, []
+
+    def counted(*args):
+        for block in draw(*args):
+            draws.append(len(block))
+            yield block
+
+    with pytest.raises(NumericError, match="training diverged at step 0: nan") as alone:
+        train(models[0], data, steps=20000, seed=4)
+    monkeypatch.setattr(harness, "_batches", counted)
+    outcomes = train_stack(models, [data] * 2, [4, 5], steps=20000)
+    assert draws == [harness._INDEX_BLOCK // 32]
+    assert len(outcomes) == 1 and str(outcomes[0]) == str(alone.value)
 
 
 def biased(model, up_bias):
@@ -272,6 +295,22 @@ def test_train_stack_holds_one_copy_of_the_features(stack):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * feature_bytes
+
+
+def test_train_stack_holds_no_feature_buffer():
+    # each step featurizes only its batch: two members at BERT-base width
+    # with 2000 rows each hold far less than their features would take
+    datas = [generate_task(SyntheticTask("blobs", n_train=2000, n_dev=4, n_test=4, dim=32,
+                                         classes=4, seed=k)) for k in range(2)]
+    models = [init_model(32, 768, 64, 4, seed=k) for k in range(2)]
+    feature_bytes = 2 * 2000 * 768 * 8
+    tracemalloc.start()
+    try:
+        train_stack(models, datas, [0, 1], steps=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < feature_bytes / 2
 
 
 def test_train_gradients_match_finite_differences():
