@@ -8,8 +8,8 @@ any work starts.
 
 `sweep` splits its seeds into contiguous chunks, one per usable CPU and of
 at most MAX_STACK seeds each.  A forked worker trains its chunk's models as
-one stack and fits their surrogates as one stack (`train_stack`,
-`run_stack`), then scores each seed's grid, one stack of masked adapters
+one stack (`train_stack`), then sweeps each seed in turn: it fits the
+seed's surrogate (`run`) and scores its grid, one stack of masked adapters
 per fraction.  Rows are written in seed order, and the CSV is the same
 bytes as a one-CPU run.  The first failing chunk's error ends the sweep:
 chunks not yet handed to a worker are cancelled.
@@ -40,26 +40,23 @@ from .errors import ConfigError, DataError, NumericError
 from .geometry import project_generators, zonotope_vertices
 from .adapter import node_generators
 from .harness import (METHODS, SweepRecord, SyntheticTask, TaskData, TinyModel,
-                      generate_task, init_model, sweep_stack, train, train_stack)
+                      generate_task, init_model, sweep, train, train_stack)
 from .optimizer import OptimConfig, run
 from .strategies import PruneScope, apply_mask, prune_grid
 # Not called here; bench/tracing.py looks these names up on this module.
-from .harness import sweep  # noqa: F401
 from .strategies import standard_mask, tropical_mask  # noqa: F401
 from .svgplot import loss_curve_svg, zonotope_overlay_svg
 
 SEED_ENV = "TROPIPRUNE_SEED"
 
-#: The most sweep seeds one worker trains and fits as one stack.  A stack
-#: shares each numpy call's overhead among its seeds.  At the README's 16x4
-#: shape the train and fit of one seed take 0.155 s alone, 0.060 s per seed in
-#: a stack of 4, 0.034 s in 8 and 0.030 s in 16 (best of 5; 2 CPUs, one BLAS
-#: thread, numpy 2.4); training is 97-98% of it, since each fit ends at its
-#: first repeated iterate.  Past 8 little is left to gain, while every member
-#: adds its own weights, gradients and scoring buffers: a worker of a 16-seed
-#: 768x64 sweep (README config, 200 training steps, 2 fit iterations, one
-#: fraction) peaks at 116 MB RSS (161 MB when each member's training features
-#: were held whole, 12 MB each at 2000 rows).
+#: The most sweep seeds one worker trains as one stack.  A stack shares each
+#: numpy call's overhead among its seeds.  At the README's 16x4 shape the
+#: training of one seed takes 0.090 s alone, 0.039 s per seed in a stack of
+#: 4, 0.031 s in 8 and 0.025 s in 16 (best of 15; 2 CPUs, one BLAS thread,
+#: numpy 2.4).  Past 8 little is left to gain, while every member adds its
+#: own weights and gradients: a worker of a 16-seed 768x64 sweep (README
+#: config, 200 training steps, 2 fit iterations, one fraction) peaks at
+#: 109 MB RSS.
 MAX_STACK = 8
 
 CSV_HEADER = ["task", "method", "scope", "p", "p_hat", "retained_pct",
@@ -326,7 +323,7 @@ def cmd_prune(args) -> int:
 
 def _sweep_chunk(cfg: dict, tasks: list[SyntheticTask], fractions: list, scopes: list,
                  methods: list, optim: OptimConfig) -> list[SweepRecord]:
-    """A contiguous run of a sweep's seeds: train and fit them as stacks, then score each.
+    """A contiguous run of a sweep's seeds: train them as one stack, then sweep each in turn.
 
     Seed s trains with model seed s + 1 and train seed s + 2.  The error of
     the first seed that fails is raised, even when a later seed failed at
@@ -337,16 +334,13 @@ def _sweep_chunk(cfg: dict, tasks: list[SyntheticTask], fractions: list, scopes:
     keys.pop("seed", None)  # each sweep seed trains with its own
     with _errors("train section"):
         trained = train_stack(models, datas, [task.seed + 2 for task in tasks], **keys)
-    # seeds past the first that failed to train can only fail later in order
-    failed = next((k for k, r in enumerate(trained) if isinstance(r, NumericError)),
-                  len(tasks))
+    # the stack ends at the first seed that failed to train; the seeds before it are swept first
     records = []
-    if failed:
-        records = sweep_stack([r.model for r in trained[:failed]], tasks[:failed], fractions,
-                              scopes, methods, optim, datas=datas[:failed])
-    if failed < len(tasks):
-        raise trained[failed]
-    return [rec for seed_records in records for rec in seed_records]
+    for task, data, result in zip(tasks, datas, trained):
+        if isinstance(result, NumericError):
+            raise result
+        records += sweep(result.model, task, fractions, scopes, methods, optim, data)
+    return records
 
 
 def _chunks(tasks: list, workers: int) -> list[list]:

@@ -18,10 +18,9 @@ import numpy as np
 
 from .adapter import AdapterLayer, forward, merge_bias
 from .errors import NumericError
-from .optimizer import OptimConfig, OptimResult, run_stack
+from .optimizer import OptimConfig, OptimResult, run
 from .strategies import PruneScope, combined_select, prune_grid
 # Not called here; bench/tracing.py looks these names up on this module.
-from .optimizer import run  # noqa: F401
 from .strategies import apply_mask, standard_mask, tropical_mask  # noqa: F401
 
 TASK_KINDS = ("blobs", "moons", "xor_grid")
@@ -175,13 +174,14 @@ class TrainResult:
 _INDEX_BLOCK = 1 << 15
 
 
-def _batches(rngs: list[np.random.Generator], sizes: list[int], steps: int, batch: int):
+def _batches(rngs: list[np.random.Generator], sizes: list[int], steps: int, batch: int,
+             block: int):
     """Each index block's (steps, S, batch) row indices into the members' training rows, stacked.
 
-    Every block is a view of one buffer, which the next block overwrites.
+    A block holds `block` steps, the last one what is left.  Every block is
+    a view of one buffer, which the next block overwrites.
     """
     offsets = np.cumsum([0, *sizes[:-1]])[:, None]
-    block = max(1, _INDEX_BLOCK // batch)
     out = np.empty((min(block, steps), len(rngs), batch), dtype=np.int64)
     for start in range(0, steps, block):
         rows = out[:min(block, steps - start)]
@@ -246,7 +246,8 @@ def train_stack(models: Sequence[TinyModel], datas: Sequence[TaskData], seeds: S
     losses = np.empty((steps, stack))
     # a block's label positions, and its softmax sums and label logits, from
     # which its losses are reduced
-    totals = np.empty((min(steps, max(1, _INDEX_BLOCK // batch)), stack, batch))
+    block_steps = max(1, _INDEX_BLOCK // batch)
+    totals = np.empty((min(steps, block_steps), stack, batch))
     picked = np.empty_like(totals)
     positions = np.empty_like(totals, dtype=np.int64)
     errors: list[NumericError | None] = [None] * stack
@@ -254,7 +255,7 @@ def train_stack(models: Sequence[TinyModel], datas: Sequence[TaskData], seeds: S
     # a diverging run overflows before its loss turns non-finite; the
     # NumericError below reports it, so numpy's own warnings stay quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        for block in _batches(rngs, sizes, steps, batch):
+        for block in _batches(rngs, sizes, steps, batch, block_steps):
             count = len(block)
             labels = np.take(y_all, block, out=positions[:count])
             labels += row_starts
@@ -435,37 +436,20 @@ def _scored_grid(model: TinyModel, task: SyntheticTask, data: TaskData, fit: Opt
     return records
 
 
-def sweep_stack(models: Sequence[TinyModel], tasks: Sequence[SyntheticTask],
-                fractions: Sequence[float], scopes: Sequence[PruneScope],
-                methods: Sequence[str], optim: OptimConfig,
-                datas: Sequence[TaskData]) -> list[list[SweepRecord]]:
-    """`sweep` of each model on its task and data, with every surrogate fitted in one stack.
-
-    Returns each model's records, in order.  The fits run as one `run_stack`,
-    then each model's grid is scored in turn; the error of the first model
-    whose fit or scoring fails is raised.
-    """
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; expected subset of {METHODS}")
-    fits = run_stack([model.adapter for model in models], optim)
-    records = []
-    for model, task, data, fit in zip(models, tasks, datas, fits, strict=True):
-        if isinstance(fit, NumericError):
-            raise fit
-        records.append(_scored_grid(model, task, data, fit, fractions, scopes, methods))
-    return records
-
-
 def sweep(model: TinyModel, task: SyntheticTask, fractions: Sequence[float],
           scopes: Sequence[PruneScope], methods: Sequence[str],
           optim: OptimConfig, data: TaskData) -> list[SweepRecord]:
     """Prune the trained model over the full grid and score every cell on `data`.
 
     The surrogate fit is deterministic and independent of the grid cell, so
-    it runs once per layer and is reused across fractions and scopes.
-    Records arrive in (fraction, scope, method) order with methods in the
-    canonical standard/tropical/combined sequence.  This is `sweep_stack`
-    on a stack of one.
+    it runs once (`run`) and is reused across fractions and scopes.  Records
+    arrive in (fraction, scope, method) order with methods in the canonical
+    standard/tropical/combined sequence.
+
+    Raises:
+        NumericError: from the fit, or when a cell's logits are not finite.
     """
-    return sweep_stack([model], [task], fractions, scopes, methods, optim, [data])[0]
+    for m in methods:
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r}; expected subset of {METHODS}")
+    return _scored_grid(model, task, data, run(model.adapter, optim), fractions, scopes, methods)

@@ -18,12 +18,9 @@ layer stays exactly 0, in `down` and in `up`.
 Neither the objective nor an iteration forms the (d, r, d+1) generator
 tensors.  Every node scales the same down-projection rows, so both reduce to
 per-row sums over the nodes' signed parts: O(d*r) time and memory.
-`run_stack` fits several same-shape layers in lockstep on a leading stack
-axis, and `run` is its stack of one.  A layer that stops early stays on the
-stack until the last one stops, and each result copies its own slice.
 
 Since entries land on exact zeros, the iterate soon repeats bit for bit,
-and from then on so do the iterates and the losses.  A layer's computation
+and from then on so do the iterates and the losses.  A fit's computation
 ends at its first exact repeat (Brent's cycle test): the rest of its trace
 is copied from the repeating stretch, and its result is the iterate that
 the last iteration would hold.  So `iterations` with `tol` 0 fixes what the
@@ -38,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,7 +53,7 @@ class OptimConfig:
     tol is a relative-change threshold on the combined loss measured across
     `window` iterations.  With tol=0 no layer converges: its result and trace
     are those of all `iterations` iterations, though the computation may end
-    at the iterate's first exact repeat (see `run_stack`).  lr has no effect:
+    at the iterate's first exact repeat (see `run`).  lr has no effect:
     the exact block minimisers take no step size.  It is still accepted and
     range-checked so that configs written for the earlier subgradient fit,
     which set it, keep working.  lr, l1_pos and l1_neg must be finite.
@@ -159,7 +156,7 @@ def subgradient(layer: AdapterLayer, down_hat: np.ndarray, up_hat: np.ndarray,
 
 
 class _Layers(NamedTuple):
-    """Layers, on a leading stack axis or none, with the terms every iteration reuses."""
+    """A layer's matrices, with any leading axes, and the terms every iteration reuses."""
 
     down: np.ndarray     # (..., r, d+1)
     down_sq: np.ndarray  # (..., r): each down row's squared norm
@@ -238,7 +235,7 @@ def _up_block(fixed: _Layers, down_hat: np.ndarray, hat_l1: np.ndarray) -> np.nd
 
 def _result(down_hat: np.ndarray, up_hat: np.ndarray, trace: list,
             converged_at: int | None) -> OptimResult:
-    """A member's outcome, holding its own copies, never views of the stack."""
+    """The fit's outcome, holding its own read-only copies, never the layer's matrices."""
     down_hat, up_hat = down_hat.copy(), up_hat.copy()
     down_hat.flags.writeable = False
     up_hat.flags.writeable = False
@@ -268,73 +265,9 @@ def _repeat(trace: list, period: int, config: OptimConfig) -> int | None:
     return None
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per stack member, whether two (S, m, n) arrays hold the same bits."""
-    return (a.view(np.int64) == b.view(np.int64)).all(axis=(-2, -1))
-
-
-def run_stack(layers: Sequence[AdapterLayer],
-              config: OptimConfig) -> list[OptimResult | NumericError]:
-    """Fit every layer as `run` does, in lockstep on one stack of same-shape layers.
-
-    Each numpy call of an iteration serves the whole stack, so at small
-    shapes, where per-call overhead sets the time, S layers fit in little
-    more than the time of one.  Entry k is bit for bit what run(layers[k],
-    config) returns, or the NumericError it raises, at the same iteration:
-    a layer's outcome is fixed the first time it meets its own `tol` test
-    or its loss turns non-finite.  It then stays in the stack unread, and
-    the fit ends once every layer has an outcome or the iterations run out.
-
-    A layer's (down, up) bits fix every later iterate and loss, so the
-    first exact repeat ends its computation too.  Brent's test finds it: each
-    iterate is compared with a checkpoint, retaken whenever the iterations
-    since it reach a power of two, which then doubles.  A match at iteration
-    t with period lam fills the rest of the trace from the losses lam back,
-    and the result is read at iteration t + ((end - t) mod lam), where end is
-    the last iteration or the one whose `tol` test passes.
-    """
-    l1 = np.array([config.l1_pos, config.l1_neg])
-    outcomes: list[OptimResult | NumericError | None] = [None] * len(layers)
-    traces: list[list[tuple[int, float]]] = [[] for _ in layers]
-    # a layer whose trace is complete: the iteration to read its result at, and its converged_at
-    reads: dict[int, tuple[int, int | None]] = {}
-    with np.errstate(all="ignore"):
-        ref_up = np.stack([layer.up for layer in layers])
-        fixed = _Layers.of(np.stack([layer.down for layer in layers]), ref_up,
-                           config.l1_pos, config.l1_neg)
-        down_hat, up_hat, part_hat = fixed.down, ref_up, fixed.parts
-        hat_l1 = np.abs(down_hat).sum(axis=-1)
-        # the checkpoint: the iterate at iteration `mark` (never written in place)
-        mark, mark_down, mark_up, span = 0, down_hat, up_hat, 1
-        for t in range(config.iterations + 1):
-            if t:
-                down_hat = _down_block(fixed, l1, down_hat, part_hat)
-                hat_l1 = np.abs(down_hat).sum(axis=-1)
-                up_hat = _up_block(fixed, down_hat, hat_l1)
-                part_hat = _parts(up_hat)
-                repeats = (_same_bits(down_hat, mark_down) & _same_bits(up_hat, mark_up)).tolist()
-            losses = _loss(fixed, l1, down_hat, part_hat, hat_l1).tolist()
-            for k, (trace, loss) in enumerate(zip(traces, losses)):
-                if outcomes[k] is None and k not in reads:
-                    if not math.isfinite(loss):
-                        outcomes[k] = NumericError(
-                            f"surrogate loss is not finite at iteration {t}: {loss!r}")
-                        continue
-                    trace.append((t, loss))
-                    if _converged(trace, config):
-                        reads[k] = (t, t)
-                    elif t and repeats[k]:
-                        converged_at = _repeat(trace, t - mark, config)
-                        end = config.iterations if converged_at is None else converged_at
-                        reads[k] = (t + (end - t) % (t - mark), converged_at)
-                if k in reads and reads[k][0] == t:
-                    outcomes[k] = _result(down_hat[k], up_hat[k], trace, reads[k][1])
-            if None not in outcomes:
-                break
-            if t - mark == span:
-                mark, mark_down, mark_up, span = t, down_hat, up_hat, 2 * span
-    return [_result(down_hat[k], up_hat[k], trace, None) if outcome is None else outcome
-            for k, (outcome, trace) in enumerate(zip(outcomes, traces))]
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two float64 arrays of one shape hold the same bits."""
+    return bool((a.view(np.int64) == b.view(np.int64)).all())
 
 
 def run(layer: AdapterLayer, config: OptimConfig) -> OptimResult:
@@ -346,15 +279,51 @@ def run(layer: AdapterLayer, config: OptimConfig) -> OptimResult:
     minimiser with that `down` fixed (_up_block), and records the loss;
     iteration 0 records the starting loss.  Ties go two ways: a `down` row
     whose `up` column parts are all 0 keeps its value, and an `up` column
-    whose `down` row is all zero is set to 0.  This is `run_stack` on a
-    stack of one.
+    whose `down` row is all zero is set to 0.  The fit stops at the first
+    iteration whose `tol` test passes, or after `iterations`.
+
+    The (down, up) bits fix every later iterate and loss, so the first exact
+    repeat ends the computation too.  Brent's test finds it: each iterate is
+    compared with a checkpoint, retaken whenever the iterations since it
+    reach a power of two, which then doubles.  A match at iteration t with
+    period lam fills the rest of the trace from the losses lam back, and the
+    result is read at iteration t + ((end - t) mod lam), where end is the
+    last iteration or the one whose `tol` test passes.
 
     Raises:
         NumericError: at the first iteration, 0 included, whose loss is not
             finite; the whole fit runs with numpy's floating-point warnings
             silenced, so that error is the only report.
     """
-    (outcome,) = run_stack([layer], config)
-    if isinstance(outcome, NumericError):
-        raise outcome
-    return outcome
+    l1 = np.array([config.l1_pos, config.l1_neg])
+    trace: list[tuple[int, float]] = []
+    # once the trace is complete: the iteration to read the result at, and its converged_at
+    read = converged_at = None
+    with np.errstate(all="ignore"):
+        fixed = _Layers.of(layer.down, layer.up, config.l1_pos, config.l1_neg)
+        down_hat, up_hat, part_hat = fixed.down, layer.up, fixed.parts
+        hat_l1 = np.abs(down_hat).sum(axis=-1)
+        # the checkpoint: the iterate at iteration `mark` (never written in place)
+        mark, mark_down, mark_up, span = 0, down_hat, up_hat, 1
+        for t in range(config.iterations + 1):
+            if t:
+                down_hat = _down_block(fixed, l1, down_hat, part_hat)
+                hat_l1 = np.abs(down_hat).sum(axis=-1)
+                up_hat = _up_block(fixed, down_hat, hat_l1)
+                part_hat = _parts(up_hat)
+            if read is None:
+                loss = float(_loss(fixed, l1, down_hat, part_hat, hat_l1))
+                if not math.isfinite(loss):
+                    raise NumericError(f"surrogate loss is not finite at iteration {t}: {loss!r}")
+                trace.append((t, loss))
+                if _converged(trace, config):
+                    read = converged_at = t
+                elif t and _same_bits(down_hat, mark_down) and _same_bits(up_hat, mark_up):
+                    converged_at = _repeat(trace, t - mark, config)
+                    end = config.iterations if converged_at is None else converged_at
+                    read = t + (end - t) % (t - mark)
+            if t == read:
+                break
+            if t - mark == span:
+                mark, mark_down, mark_up, span = t, down_hat, up_hat, 2 * span
+    return _result(down_hat, up_hat, trace, converged_at)

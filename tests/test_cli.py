@@ -497,19 +497,19 @@ def test_sweep_csv_contract(tmp_path):
 @pytest.mark.parametrize("tol", [0.0, 1e-3], ids=["tol0", "tol1e-3"])
 @pytest.mark.parametrize("cpus", [1, 3], ids=["cpus1", "cpus3"])
 def test_sweep_rows_match_one_seed_sweeps(tmp_path, monkeypatch, cpus, tol):
-    # the seeds run in worker processes, as one stack of three or three
-    # stacks of one; the rows still come in seed order, byte for byte those
-    # of one-seed sweeps.  At tol 1e-3 the seeds' fits stop at different
-    # iterations, so a stack holds members that stopped beside running ones.
+    # the seeds run in worker processes, as one training stack of three or
+    # three stacks of one; the rows still come in seed order, byte for byte
+    # those of one-seed sweeps.  At tol 1e-3 the seeds' fits stop at
+    # different iterations.
     stops = tmp_path / "stops.txt"
 
-    def run_stack_logged(layers, config):
-        outcomes = optimizer.run_stack(layers, config)
+    def run_logged(layer, config):
+        outcome = optimizer.run(layer, config)
         with stops.open("a") as log:  # forked workers append here
-            log.write("".join(f"{o.converged_at}\n" for o in outcomes))
-        return outcomes
+            log.write(f"{outcome.converged_at}\n")
+        return outcome
 
-    monkeypatch.setattr(harness, "run_stack", run_stack_logged)
+    monkeypatch.setattr(harness, "run", run_logged)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
     cfg = write_config(tmp_path, {"task.n_train": 300, "train.steps": 200, "optim.tol": tol,
                                   "sweep": {"seeds": [0, 1, 2]}})
@@ -571,6 +571,32 @@ def test_sweep_reports_first_failing_seed_across_stages(tmp_path, capsys, monkey
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweep_reports_first_failing_seed_across_scoring_and_fit(tmp_path, capsys, monkeypatch,
+                                                                 cpus):
+    # seed 0's head makes its logits overflow when scored, and seed 1's fit
+    # overflows; in one chunk or in two, seed 0's error is the one reported
+    def init_or_break(*args, **keys):
+        model = harness.init_model(*args, **keys)
+        if keys["seed"] == 0 + 1:
+            return replace(model, head_w=np.full(model.head_w.shape, 1e308))
+        if keys["seed"] == 1 + 1:
+            adapter = model.adapter
+            return replace(model, adapter=AdapterLayer(1e160 * adapter.down, 1e160 * adapter.up))
+        return model
+
+    monkeypatch.setattr(cli, "init_model", init_or_break)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    cfg = write_config(tmp_path, {"task.n_train": 300, "train.steps": 0,
+                                  "sweep": {"seeds": [0, 1]}})
+    out_csv = tmp_path / "results.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out_csv)]) == 4
+    assert capsys.readouterr().err == \
+        "numeric failure: evaluation produced non-finite logits\n"
+    assert not out_csv.exists()
+    assert multiprocessing.active_children() == []
+
+
 def test_sweep_failure_cancels_queued_chunks(tmp_path, capsys, monkeypatch):
     # one worker and one seed per chunk.  The executor hands the worker up to
     # max_workers + 1 chunks ahead, and one more may slip in as the first
@@ -603,7 +629,7 @@ def forbid_work(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("work started before the output path was checked")
 
-    for name in ("train", "train_stack", "sweep_stack", "run"):
+    for name in ("train", "train_stack", "sweep", "run"):
         monkeypatch.setattr(cli, name, forbidden)
 
 

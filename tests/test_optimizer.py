@@ -12,7 +12,6 @@ from tropiprune import (AdapterLayer, OptimConfig, branch_loss, forward, init_mo
 from tropiprune.errors import NumericError
 from tropiprune import optimizer
 from tropiprune.harness import SyntheticTask, generate_task, train_stack
-from tropiprune.optimizer import run_stack
 
 from oracles import materialised_objective, reference_fit, worst_single_entry_move
 
@@ -416,30 +415,33 @@ def test_diverging_run_raises_without_numpy_warnings():
                 run(huge_layer(down_scale, up_scale), OptimConfig(iterations=3))
 
 
-def test_run_stack_matches_one_layer_runs():
-    # each member stops on its own tol test or iteration cap, and the huge
-    # one fails at iteration 0 while the others finish
+def test_run_stops_on_its_tol_test_or_iteration_cap():
+    # each layer stops on its own tol test or iteration cap, and the huge
+    # one fails at iteration 0
     rng = np.random.default_rng(23)
     layers = [random_layer(rng, d=6, r=3, scale=s) for s in (0.1, 0.5, 1.0, 2.0)]
     layers.insert(2, huge_layer())
     cfg = OptimConfig(iterations=7, l1_pos=0.05, l1_neg=0.02, tol=1e-12, window=5)
-    outcomes = run_stack(layers, cfg)
+    outcomes = []
+    for layer in layers:
+        try:
+            outcomes.append(run(layer, cfg))
+        except NumericError as exc:
+            outcomes.append(exc)
     assert [getattr(o, "converged_at", "failed") for o in outcomes] == \
         [6, None, "failed", None, 7]
-    with pytest.raises(NumericError) as alone:
-        run(layers[2], cfg)
-    assert str(outcomes[2]) == str(alone.value) == \
-        "surrogate loss is not finite at iteration 0: nan"
-    for layer, stacked in zip(layers, outcomes):
+    assert str(outcomes[2]) == "surrogate loss is not finite at iteration 0: nan"
+    for layer, got in zip(layers, outcomes):
         if layer is not layers[2]:
-            want = run(layer, cfg)
-            assert np.array_equal(stacked.down, want.down)
-            assert np.array_equal(stacked.up, want.up)
-            assert stacked.loss_trace == want.loss_trace
-            assert stacked.converged_at == want.converged_at
-            # each result owns its matrices, not a view of the whole stack
-            for a in (stacked.down, stacked.up):
+            down, up, trace, converged_at = reference_fit(layer, cfg)
+            assert np.array_equal(got.down, down)
+            assert np.array_equal(got.up, up)
+            assert got.loss_trace == tuple(trace)
+            assert got.converged_at == converged_at
+            # each result owns its matrices, not views of the layer's
+            for a in (got.down, got.up):
                 assert a.base is None or a.base.nbytes <= a.nbytes
+                assert not np.shares_memory(a, layer.down) and not np.shares_memory(a, layer.up)
 
 
 def same_bits(a, b):
@@ -451,9 +453,9 @@ def same_bits(a, b):
        r=st.integers(1, 4), log_penalty=st.floats(-4.0, 0.0),
        tol=st.sampled_from([0.0, 0.0, 1e-12, 1e-6, 1e-3]), window=st.sampled_from([1, 2, 5, 10]),
        iterations=st.integers(0, 400), failing=st.booleans())
-def test_run_stack_equals_the_every_iteration_fit(seed, size, d, r, log_penalty, tol, window,
-                                                   iterations, failing):
-    # members stop at their first exact repeat; the outcome must be the one
+def test_run_equals_the_every_iteration_fit(seed, size, d, r, log_penalty, tol, window,
+                                            iterations, failing):
+    # fits stop at their first exact repeat; the outcome must be the one
     # of a fit that runs every iteration
     rng = np.random.default_rng(seed)
     layers = []
@@ -462,25 +464,28 @@ def test_run_stack_equals_the_every_iteration_fit(seed, size, d, r, log_penalty,
         down[:, -1] = 0.0
         up[rng.uniform(size=up.shape) < 0.2] = 0.0
         layers.append(AdapterLayer(down, up))
-    if failing:  # a member whose loss is NaN
+    if failing:  # a layer whose loss is NaN
         layers.insert(int(rng.integers(size + 1)), random_layer(rng, d, r, scale=1e160))
     lam = 10.0 ** log_penalty
     cfg = OptimConfig(iterations=iterations, l1_pos=lam, l1_neg=lam * rng.uniform(0.5, 2.0),
                       tol=tol, window=window)
-    for layer, got in zip(layers, run_stack(layers, cfg), strict=True):
+    for layer in layers:
         want = reference_fit(layer, cfg)
         if isinstance(want, NumericError):
-            assert isinstance(got, NumericError) and str(got) == str(want)
+            with pytest.raises(NumericError) as got:
+                run(layer, cfg)
+            assert str(got.value) == str(want)
             continue
+        got = run(layer, cfg)
         down, up, trace, converged_at = want
         assert same_bits(got.down, down) and same_bits(got.up, up)
         assert got.loss_trace == tuple(trace)
         assert got.converged_at == converged_at
 
 
-def test_readme_stack_stops_at_its_repeats(monkeypatch):
+def test_readme_fits_stop_at_their_repeats(monkeypatch):
     # the README config's fits (tol 0, 500 iterations) on five sweep seeds;
-    # one member repeats with period 30, first seen at iteration 61
+    # one repeats with period 30, first seen at iteration 61
     seeds = [7412, 11124, 12004, 22162, 47324]
     tasks = [SyntheticTask("blobs", dim=8, classes=3, noise=0.5, seed=s) for s in seeds]
     models = [init_model(8, 16, 4, 3, seed=s + 1) for s in seeds]
@@ -492,8 +497,11 @@ def test_readme_stack_stops_at_its_repeats(monkeypatch):
     monkeypatch.setattr(optimizer, "_down_block",
                         lambda *args: computed.append(1) or down_block(*args))
     cfg = OptimConfig(iterations=500, l1_pos=0.01, l1_neg=0.01, tol=0.0, window=10)
-    outcomes = run_stack(layers, cfg)
-    assert len(computed) <= 100
+    outcomes = []
+    for layer in layers:
+        computed.clear()
+        outcomes.append(run(layer, cfg))
+        assert len(computed) <= 100
     monkeypatch.undo()
     for layer, got in zip(layers, outcomes):
         down, up, trace, converged_at = reference_fit(layer, cfg)
