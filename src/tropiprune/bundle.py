@@ -10,18 +10,17 @@ survive a save/load round trip bit for bit, and the same bundle always
 writes the same bytes.  The writer refuses non-finite values, which JSON
 cannot hold, before it renders anything.
 
-The writer renders the manifest with `json.dumps` and each tensor itself,
-joining its number texts into the same `indent=1` layout.  It writes each
-tensor's text as soon as that tensor is rendered, so a save never holds the
-whole file's text.  A 2-D tensor's rows are its rows, and a
-1-D tensor is one row.  Given `like`, a bundle written before, the writer
-reuses `like`'s text for every row whose values are all bit-identical to the
-ones at the same place in `like` (so -0.0 and 0.0 stay apart).  A row that
-changed is rebuilt from `like`'s number texts and the changed values, each
-distinct value rendered once; a tensor whose distinct changed values
-outnumber half its entries is rendered afresh instead.  `like`'s texts are
-kept on that bundle as one string per row, so `prune` renders each value of
-the original once however many pruned bundles it writes.
+The writer renders the manifest with `json.dumps` and each tensor itself:
+it keeps the text of every value in a table of the tensor's shape (`S24`,
+the longest float64 `repr`; a 1-D tensor is one row), and joins the table
+into the same `indent=1` layout one row at a time as it writes the file, so
+a save never holds the whole file's text.  Given `like`, a bundle written
+before, the writer copies `like`'s table and renders only the values whose
+bits differ from the ones at the same place in `like` (so -0.0 and 0.0 stay
+apart), each distinct value once; a tensor whose distinct changed values
+outnumber half its entries is rendered afresh instead.  `like`'s tables are
+kept on that bundle, so `prune` renders each value of the original once
+however many pruned bundles it writes.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -43,19 +42,17 @@ from .harness import TinyModel
 
 FORMAT = "tropiprune-bundle"
 VERSION = 1
+#: A value's text: 24 bytes hold the longest float64 `repr`, -2.2250738585072014e-308.
+_TEXT = np.dtype("S24")
 
 
 @dataclass(frozen=True)
 class _Rendered:
-    """A tensor's float64 values and their JSON text, one string per row.
-
-    A row is a whole list of numbers as laid out in the file.  A 1-D tensor
-    is one row, which is also the tensor's text; a 2-D tensor's text is
-    `_json_list(rows, 2)`.
-    """
+    """A tensor's float64 values and the text of each, as a 2-D `_TEXT` table
+    whose rows are the tensor's rows; a 1-D tensor is one row."""
 
     values: np.ndarray
-    rows: list[str]
+    texts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -90,19 +87,19 @@ class WeightBundle:
 
     @cached_property
     def _rendered(self) -> dict[str, _Rendered]:
-        """Each tensor's row texts, rendered on first use and freed with the bundle."""
-        return {name: _Rendered(values, _rows(values, None))
+        """Each tensor's text table, rendered on first use and freed with the bundle."""
+        return {name: _Rendered(values, _texts(values, None))
                 for name, values in self._tensors().items()}
 
 
-def _write_atomic(path: str | Path, pieces: Iterable[str]) -> None:
+def _write_atomic(path: str | Path, pieces: Iterable[bytes]) -> None:
     """Write each piece as it comes to a sibling temp file, then rename it over
     `path`, so readers never see halves."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "wb") as handle:
             handle.writelines(pieces)
         os.replace(tmp, target)
     except BaseException:
@@ -112,9 +109,9 @@ def _write_atomic(path: str | Path, pieces: Iterable[str]) -> None:
 
 
 def write_text_atomic(path: str | Path, *pieces: str) -> None:
-    """Write the pieces' concatenation via a sibling temp file and rename, so
-    readers never see halves."""
-    _write_atomic(path, pieces)
+    """Write the pieces' concatenation as UTF-8 via a sibling temp file and
+    rename, so readers never see halves."""
+    _write_atomic(path, map(str.encode, pieces))
 
 
 def read_json(path: str | Path, what: str, error: type[Exception]):
@@ -128,69 +125,47 @@ def read_json(path: str | Path, what: str, error: type[Exception]):
 
 
 @cache
-def _layout(depth: int) -> tuple[str, str, str]:
+def _layout(depth: int) -> tuple[bytes, bytes, bytes]:
     """What `json.dumps(indent=1)` puts before, between and after the items of
     a non-empty list nested `depth` deep."""
-    pad = "\n" + " " * (depth + 1)
-    return "[" + pad, "," + pad, "\n" + " " * depth + "]"
+    pad = b"\n" + b" " * (depth + 1)
+    return b"[" + pad, b"," + pad, b"\n" + b" " * depth + b"]"
 
 
-def _json_list(items: list[str], depth: int) -> str:
+def _json_list(items: list[bytes], depth: int) -> bytes:
     """`json.dumps(indent=1)`'s layout of a list of rendered items nested `depth` deep."""
     if not items:
-        return "[]"
+        return b"[]"
     first, sep, last = _layout(depth)
     return first + sep.join(items) + last
 
 
-def _row_numbers(row: str, depth: int) -> list[str]:
-    """The number texts of a non-empty row laid out by `_json_list(numbers, depth)`;
-    a number's text holds no comma, so the split is exact."""
-    first, sep, last = _layout(depth)
-    return row[len(first):-len(last)].split(sep)
+def _texts(values: np.ndarray, like: _Rendered | None) -> np.ndarray:
+    """The text table of a contiguous float64 tensor of 1 or 2 dimensions.
 
-
-def _rows(values: np.ndarray, like: _Rendered | None) -> list[str]:
-    """The text of each row of a contiguous float64 tensor of 1 or 2 dimensions.
-
-    A 1-D tensor is one row.  Given `like`, a rendering of a tensor of the
-    same shape, the rows whose bits all equal `like`'s are `like`'s strings,
-    and only the values whose bits differ are rendered, each distinct one
-    once, unless they outnumber half the tensor's entries: then every row is
-    rendered afresh.  A `like` of another shape is ignored.
+    Given `like`, a rendering of a tensor of the same shape, the table is a
+    copy of `like`'s with only the values whose bits differ rendered, each
+    distinct one once, unless they outnumber half the tensor's entries: then
+    every value is rendered afresh.  A `like` of another shape is ignored.
     """
-    depth = values.ndim + 1  # the innermost lists, the rows, sit this deep in the file
     grid = np.atleast_2d(values)  # not reshape(-1, n): a (k, 0) tensor has no such shape
     if like is not None and like.values.shape == values.shape:
         bits = grid.view(np.int64)  # compared as bits, so 0.0 and -0.0 stay apart
         changed = bits != np.atleast_2d(like.values).view(np.int64)
         distinct, which = np.unique(bits[changed], return_inverse=True)
         if 2 * len(distinct) <= values.size:
-            texts = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())),
-                             dtype=object)
-            return _patched(like.rows, changed, texts[which], depth)
-    # row by row: the floats of the whole tensor at once would take more than its text
-    return [_json_list(list(map(float.__repr__, row.tolist())), depth) for row in grid]
+            texts = like.texts.copy()
+            texts[changed] = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())),
+                                      dtype=_TEXT)[which]
+            return texts
+    # row by row: the texts of the whole tensor at once would take more than its table
+    texts = np.empty(grid.shape, _TEXT)
+    for i, row in enumerate(grid):
+        texts[i] = list(map(float.__repr__, row.tolist()))
+    return texts
 
 
-def _patched(rows: list[str], changed: np.ndarray, texts: np.ndarray,
-             depth: int) -> list[str]:
-    """`rows` with the number texts where `changed` is set replaced, one row at a time.
-
-    The changed entries take `texts` in row-major order.
-    """
-    rows = list(rows)
-    entries = zip(memoryview(np.nonzero(changed)[1]), texts)
-    for i, count in enumerate(changed.sum(axis=1).tolist()):
-        if count:
-            numbers = _row_numbers(rows[i], depth)
-            for j, text in islice(entries, count):
-                numbers[j] = text
-            rows[i] = _json_list(numbers, depth)
-    return rows
-
-
-def _pieces(bundle: WeightBundle, like: WeightBundle | None) -> Iterator[str]:
+def _pieces(bundle: WeightBundle, like: WeightBundle | None) -> Iterator[bytes]:
     """The bundle's file text in pieces: the manifest head, each tensor, the tail.
 
     Every value is checked, and `like`'s texts are rendered, when this is
@@ -221,30 +196,37 @@ def _pieces(bundle: WeightBundle, like: WeightBundle | None) -> Iterator[str]:
                            "tensors": {}}, indent=1, sort_keys=True)
     # only a top-level key sits one space in: strings hold no raw newline
     head, _, tail = skeleton.partition('\n "tensors": {}')
-    return chain([head + '\n "tensors": {'], _tensor_pieces(tensors, kept),
-                 ["\n }" + tail + "\n"])
+    return chain([(head + '\n "tensors": {').encode()], _tensor_pieces(tensors, kept),
+                 [("\n }" + tail + "\n").encode()])
 
 
 def _tensor_pieces(tensors: dict[str, np.ndarray],
-                   kept: dict[str, _Rendered]) -> Iterator[str]:
-    """The "tensors" object's members in pieces, each tensor rendered as its turn comes."""
-    sep = "\n  "
+                   kept: dict[str, _Rendered]) -> Iterator[bytes]:
+    """The "tensors" object's members in pieces, each tensor rendered as its
+    turn comes and joined one row at a time."""
+    sep = b"\n  "
     for name, values in tensors.items():
-        rows = _rows(values, kept.get(name))
-        text = rows[0] if values.ndim == 1 else _json_list(rows, 2)
-        yield f"{sep}{json.dumps(name)}: {text}"
-        sep = ",\n  "
+        yield sep + json.dumps(name).encode() + b": "
+        sep = b",\n  "
+        texts = _texts(values, kept.get(name))
+        if values.ndim == 1:
+            yield _json_list(texts[0].tolist(), 2)
+        else:
+            first, between, last = _layout(2)
+            for i, row in enumerate(texts):
+                yield (between if i else first) + _json_list(row.tolist(), 3)
+            yield last if len(texts) else b"[]"
 
 
 def bundle_to_json(bundle: WeightBundle, like: WeightBundle | None = None) -> str:
     """The bundle's file text; `like` only saves work, never changes the text."""
-    return "".join(_pieces(bundle, like))
+    return b"".join(_pieces(bundle, like)).decode()
 
 
 def save_bundle(bundle: WeightBundle, path: str | Path,
                 like: WeightBundle | None = None) -> None:
-    """Write the bundle atomically, each tensor as soon as it is rendered; see
-    `bundle_to_json` for `like`.
+    """Write the bundle atomically, each tensor row by row as it is rendered;
+    see `bundle_to_json` for `like`.
 
     Every value is checked before the file is opened, so a refused value
     raises before any file or directory is made.

@@ -295,11 +295,10 @@ def cmd_prune(args) -> int:
                           json.dumps(trace_doc) + "\n")
     opt_model = replace(model, adapter=replace(model.adapter, down=optimized[0].down,
                                                up=optimized[0].up))
-    # like=bundle: every row a written bundle shares with the original reuses
-    # the original's text, rendered once for the whole grid; a changed row is
-    # rebuilt from it, and a pruned row's zeros are rendered once per tensor.
-    # The optimized bundle's adapter, nearly every value of which changed, is
-    # rendered afresh
+    # like=bundle: every written bundle copies the original's text table,
+    # rendered once for the whole grid, and renders only its changed values,
+    # so a pruned tensor's zeros are rendered once each.  The optimized
+    # bundle's adapter, nearly every value of which changed, is rendered afresh
     save_bundle(WeightBundle(opt_model, optimized=True, meta=bundle.meta),
                 out / "optimized.json", like=bundle)
     report = {"total_params": sum(l.param_count for l in originals), "cells": []}

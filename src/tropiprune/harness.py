@@ -16,11 +16,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .adapter import AdapterLayer, forward, merge_bias
+from .adapter import AdapterLayer, merge_bias
 from .errors import NumericError
 from .optimizer import OptimConfig, OptimResult, run
 from .strategies import PruneScope, combined_select, prune_grid
 # Not called here; bench/tracing.py looks these names up on this module.
+from .adapter import forward  # noqa: F401
 from .strategies import apply_mask, standard_mask, tropical_mask  # noqa: F401
 
 TASK_KINDS = ("blobs", "moons", "xor_grid")
@@ -151,12 +152,6 @@ def featurize(model: TinyModel, x: np.ndarray) -> np.ndarray:
     """relu(x @ feature_map.T)."""
     h = np.asarray(x, dtype=np.float64) @ model.feature_map.T
     return np.maximum(h, 0.0, out=h)
-
-
-def logits(model: TinyModel, x: np.ndarray) -> np.ndarray:
-    h = featurize(model, x)
-    adapted = forward(model.adapter, h, residual=True)
-    return adapted @ model.head_w.T + model.head_b
 
 
 @dataclass(frozen=True)
@@ -324,10 +319,10 @@ def train(model: TinyModel, data: TaskData, steps: int = 2000, lr: float = 0.05,
     """Mini-batch SGD on softmax cross entropy over adapter and head only.
 
     Deterministic for a given seed; the featurizer is never touched, and
-    each step featurizes only the rows of its batch.  An adapter's up bias stays frozen: each step adds it to the adapter's
-    output before the residual, as `forward` does, and the trained model
-    carries it unchanged.  Returns the trained model together with the
-    per-step batch losses.
+    each step featurizes only the rows of its batch.  An adapter's up bias
+    stays frozen: each step adds it to the adapter's output before the
+    residual, as `forward` does, and the trained model carries it unchanged.
+    Returns the trained model together with the per-step batch losses.
     This is `train_stack` on a stack of one.
 
     Raises:
@@ -357,8 +352,9 @@ def _stack_logits(model: TinyModel, down: np.ndarray, up: np.ndarray,
                   h: np.ndarray) -> np.ndarray:
     """(K, n, classes) logits of `model` with adapter k = (down[k], up[k]) in its place.
 
-    h holds n featurized rows.  Slice k is bit for bit `logits` of that
-    model: every product is the same one, in the same order.
+    h holds n featurized rows.  Slice k is bit for bit `forward` of that
+    model's adapter on h, residual added, times its head: every product is
+    the same one, in the same order.  `evaluate` is a stack of one.
     """
     aug = np.hstack([h, np.ones((len(h), 1))])
     out = np.maximum(aug @ down.mT, 0.0) @ up.mT

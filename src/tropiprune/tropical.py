@@ -94,7 +94,8 @@ class TropicalPolynomial:
         object.__setattr__(self, "monomials", monos)
 
     @classmethod
-    def from_terms(cls, terms: Iterable[tuple[TropicalScalar, Sequence[int]]]) -> "TropicalPolynomial":
+    def from_terms(cls, terms: Iterable[tuple[TropicalScalar, Sequence[int]]]
+                   ) -> "TropicalPolynomial":
         return cls(tuple(TropicalMonomial(c, tuple(e)) for c, e in terms))
 
     @property

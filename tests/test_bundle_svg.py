@@ -204,6 +204,35 @@ def test_writer_keeps_signed_zeros_apart_from_like():
     assert bundle_to_json(mixed, like=WeightBundle(model)) == bundle_json(mixed)
 
 
+@pytest.mark.parametrize("text", ["-2.2250738585072014e-308", "-1.7976931348623157e+308",
+                                  "-0.00012345678901234567"])
+def test_writer_keeps_the_widest_texts_whole(tmp_path, text):
+    # the longest float64 reprs (24 characters) and the longest positional
+    # one (23): a text narrower than its value would lose its last characters
+    wide = float(text)
+    assert repr(wide) == text
+    model = sample_model()
+    adapter = AdapterLayer(model.adapter.down, model.adapter.up, up_bias=np.arange(5.0))
+    like = WeightBundle(replace(model, adapter=adapter))
+    tensors = [arr.copy() for arr in (model.feature_map, adapter.down, adapter.up,
+                                      adapter.up_bias, model.head_w, model.head_b)]
+    for arr in tensors:  # one entry of every tensor, so each is a changed value against like
+        arr.flat[-1] = wide
+    feature_map, down, up, up_bias, head_w, head_b = tensors
+    bundle = WeightBundle(TinyModel(feature_map, AdapterLayer(down, up, up_bias), head_w, head_b))
+    expected = bundle_json(bundle)
+    assert expected.count(text) == len(tensors)
+    assert bundle_to_json(bundle) == expected
+    assert bundle_to_json(bundle, like) == expected
+    assert bundle_to_json(like, bundle) == bundle_json(like)
+    path = tmp_path / "bundle.json"
+    save_bundle(bundle, path, like=like)
+    loaded = load_bundle(path).model
+    for got, want in zip([loaded.feature_map, loaded.adapter.down, loaded.adapter.up,
+                          loaded.adapter.up_bias, loaded.head_w, loaded.head_b], tensors):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_writer_refuses_non_finite_values(tmp_path):
     model = sample_model()
     bad = WeightBundle(TinyModel(model.feature_map, model.adapter, model.head_w,

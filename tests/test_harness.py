@@ -9,12 +9,17 @@ from tropiprune import (AdapterLayer, OptimConfig, PruneScope, SyntheticTask, ev
 from tropiprune import harness
 from tropiprune.errors import NumericError
 from tropiprune.harness import (METHODS, SweepRecord, TinyModel, _macro_f1, _scored_grid,
-                                _stack_logits, _stack_scores, featurize, init_model, logits,
-                                train, train_stack)
+                                _stack_logits, _stack_scores, featurize, init_model, train,
+                                train_stack)
 from tropiprune.optimizer import OptimResult
 from tropiprune.strategies import apply_mask, combined_select, prune_grid, standard_mask
 
 from oracles import reference_train
+
+
+def logits(model, x):
+    """The model's logits on x the unstacked way: featurize, `forward` with the residual, head."""
+    return forward(model.adapter, featurize(model, x), residual=True) @ model.head_w.T + model.head_b
 
 
 def blobs_task(seed=0):
