@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import chain
@@ -94,10 +93,12 @@ class WeightBundle:
 
 def _write_atomic(path: str | Path, pieces: Iterable[bytes]) -> None:
     """Write each piece as it comes to a sibling temp file, then rename it over
-    `path`, so readers never see halves."""
+    `path`, so readers never see halves.  The file gets the mode `open()` gives
+    a new file: 0o666 less the umask."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
+    tmp = target.parent / f"{target.name}{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(pieces)
@@ -117,7 +118,7 @@ def write_text_atomic(path: str | Path, *pieces: str) -> None:
 def read_json(path: str | Path, what: str, error: type[Exception]):
     """The JSON document in a file; a missing, unreadable or malformed file raises `error`."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:  # missing, a directory, not permitted
         raise error(f"cannot read {what} file {path}: {exc.strerror}") from None
     except ValueError as exc:  # not UTF-8 or not JSON
@@ -274,8 +275,9 @@ def load_bundle(path: str | Path) -> WeightBundle:
     doc = _object(read_json(path, "bundle", DataError), "file")
     if doc.get("format") != FORMAT:
         raise DataError(f"unexpected bundle format {doc.get('format')!r:.40}")
-    if doc.get("version") != VERSION:
-        raise DataError(f"unsupported bundle version {doc.get('version')!r:.40}")
+    version = doc.get("version")
+    if type(version) is not int or version != VERSION:  # true and 1.0 equal 1
+        raise DataError(f"unsupported bundle version {version!r:.40}")
     manifest = _object(doc.get("manifest"), "manifest")
     tensors = _object(doc.get("tensors"), "tensors")
     dims = _object(manifest.get("model"), "manifest.model")

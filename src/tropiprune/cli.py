@@ -209,7 +209,9 @@ def _out_dir(cfg: dict) -> Path:
     out = cfg.get("out", {})
     if "dir" not in out:
         raise ConfigError("missing field: out.dir")
-    return _usable_dir(Path(out["dir"]), "out section")
+    # the config is UTF-8 text, so its directory names those bytes in any locale
+    with _errors("out section"):
+        return _usable_dir(Path(os.fsdecode(out["dir"].encode("utf-8"))), "out section")
 
 
 def _disagreement(dims: dict, actual: dict) -> str | None:

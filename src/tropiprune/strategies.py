@@ -18,13 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .adapter import AdapterLayer
-
-DOWN, UP = "down", "up"
 
 
 class PruneScope(Enum):
@@ -40,16 +38,10 @@ class PruneScope(Enum):
             raise ValueError(f"unknown scope {token!r}; expected CB, CU, or CN") from None
 
 
-class ParamIndex(NamedTuple):
-    layer: int
-    matrix: str
-    row: int
-    col: int
-
-
 @dataclass(frozen=True)
 class PruneMask:
-    """Boolean matrices matching each layer's shapes; True marks a pruned entry."""
+    """A read-only boolean (down, up) matrix pair per layer, in the layers'
+    shapes; True marks a pruned entry."""
 
     entries: tuple[tuple[np.ndarray, np.ndarray], ...]
 
@@ -61,14 +53,6 @@ class PruneMask:
 
     def fraction(self) -> float:
         return self.count() / self.size()
-
-    def indices(self) -> set[ParamIndex]:
-        found = set()
-        for li, (down_mask, up_mask) in enumerate(self.entries):
-            for tag, mask in ((DOWN, down_mask), (UP, up_mask)):
-                for r, c in zip(*np.nonzero(mask)):
-                    found.add(ParamIndex(li, tag, int(r), int(c)))
-        return found
 
 
 def _take(fraction: float, size: int) -> int:
@@ -111,16 +95,6 @@ def _mask(fraction: float, *rankings) -> PruneMask:
     return PruneMask(tuple(zip(masks[::2], masks[1::2])))
 
 
-def select_smallest(layers: Sequence[AdapterLayer], fraction: float,
-                    scope: PruneScope) -> set[ParamIndex]:
-    """Indices of the bottom fraction by magnitude within each scope group.
-
-    Equal magnitudes break ties by index order, so the selection is a pure
-    function of the values.
-    """
-    return standard_mask(layers, fraction, scope).indices()
-
-
 def _check_matching(originals: Sequence[AdapterLayer], optimized: Sequence) -> None:
     if len(originals) != len(optimized):
         raise ValueError("layer lists differ in length")
@@ -148,6 +122,10 @@ def standard_mask(layers: Sequence[AdapterLayer], fraction: float,
                   scope: PruneScope) -> PruneMask:
     """Plain smallest-magnitude mask at the given (usually achieved) fraction."""
     return _mask(fraction, _ranks(layers, scope))
+
+
+# Not called here; bench/tracing.py looks these names up on this module.
+select_smallest = standard_mask
 
 
 def prune_grid(originals: Sequence[AdapterLayer], optimized: Sequence,

@@ -277,6 +277,14 @@ def brute_smallest(layers, fraction, scope):
     return picked
 
 
+def mask_tuples(mask):
+    """A mask's pruned entries as the (layer, matrix, row, col) tuples of `brute_smallest`."""
+    return {(li, tag, int(r), int(c))
+            for li, pair in enumerate(mask.entries)
+            for tag, matrix in zip(("down", "up"), pair)
+            for r, c in np.argwhere(matrix)}
+
+
 def bundle_json(bundle):
     """A weight bundle's file text through `json.dumps`, the format's definition.
 

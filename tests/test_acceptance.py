@@ -16,7 +16,7 @@ import pytest
 from tropiprune import (AdapterLayer, OptimConfig, PruneScope, TropicalPolynomial,
                         Zonotope, convex_hull_2d, dual_subdivision_points, forward,
                         hausdorff_distance, minkowski_sum, node_generators,
-                        project_generators, run, select_smallest, standard_mask,
+                        project_generators, run, standard_mask,
                         subgradient, trop_poly_mul, tropical_mask, tropical_parts,
                         zonotope_vertices)
 from tropiprune.bundle import WeightBundle, bundle_to_json, load_bundle, save_bundle
@@ -25,7 +25,7 @@ from tropiprune.harness import init_model
 from tropiprune.optimizer import branch_loss
 from tropiprune.svgplot import loss_curve_svg, zonotope_overlay_svg
 
-from oracles import graham_hull_vertices, subset_sums, support
+from oracles import graham_hull_vertices, mask_tuples, subset_sums, support
 
 
 def report(number, ok, detail):
@@ -284,7 +284,7 @@ def test_criterion_08_mask_algebra_on_exhaustive_fixture():
     #   agreement: up(0,0), down(0,1), up(0,1) -> achieved fraction 3/28
     mask, p_hat = tropical_mask([original], [surrogate], 4 / 28, PruneScope.CLASS_BLIND)
     hand = {(0, "up", 0, 0), (0, "down", 0, 1), (0, "up", 0, 1)}
-    hand_ok = {tuple(i) for i in mask.indices()} == hand and p_hat == pytest.approx(3 / 28)
+    hand_ok = mask_tuples(mask) == hand and p_hat == pytest.approx(3 / 28)
 
     total = original.param_count
     groups = {PruneScope.CLASS_BLIND: 1, PruneScope.CLASS_UNIFORM: 1,
@@ -294,9 +294,9 @@ def test_criterion_08_mask_algebra_on_exhaustive_fixture():
         for k in range(total + 1):
             p = k / total
             want_s = brute_bottom_fraction([original], p, scope)
-            got_s = {tuple(i) for i in select_smallest([original], p, scope)}
+            got_s = mask_tuples(standard_mask([original], p, scope))
             mask, p_hat = tropical_mask([original], [surrogate], p, scope)
-            got_t = {tuple(i) for i in mask.indices()}
+            got_t = mask_tuples(mask)
             want_t = want_s & brute_bottom_fraction([surrogate], p, scope)
             std = standard_mask([original], p_hat, scope)
             checks = (got_s == want_s and got_t == want_t

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -184,6 +186,18 @@ def test_atomic_write_removes_its_temp_file_on_failure(tmp_path):
         write_text_atomic(tmp_path / "b", "text")  # the rename fails
     assert [p.name for p in tmp_path.iterdir()] == ["b"]
     assert list((tmp_path / "b").iterdir()) == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_atomic_write_gives_the_mode_open_gives(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        write_text_atomic(tmp_path / "a.txt", "text")
+        save_bundle(WeightBundle(sample_model()), tmp_path / "b.json")
+    finally:
+        os.umask(old)
+    assert [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("a.txt", "b.json")] \
+        == [mode, mode]
 
 
 def test_writer_keeps_signed_zeros_apart_from_like():

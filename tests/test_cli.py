@@ -1,6 +1,9 @@
 import csv
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
 from dataclasses import asdict, replace
@@ -9,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tropiprune
 from tropiprune import AdapterLayer, cli, harness, optimizer
 from tropiprune.bundle import load_bundle
 from tropiprune.cli import main
@@ -365,6 +369,8 @@ MALFORMED_BUNDLES = [
     ("meta-list", lambda doc: doc["manifest"].update(meta=[1])),
     ("nan-tensor", lambda doc: doc["tensors"]["adapter0.up"][0].__setitem__(0, float("nan"))),
     ("version-2", lambda doc: doc.update(version=2)),
+    ("version-true", lambda doc: doc.update(version=True)),
+    ("version-float", lambda doc: doc.update(version=1.0)),
     ("optimized-string", lambda doc: doc["manifest"].update(optimized="no")),
     ("optimized-half", lambda doc: doc["manifest"].update(optimized=0.5)),
     ("bias-not-merged", lambda doc: doc["manifest"]["layers"][0].update(bias_merged=False)),
@@ -395,6 +401,24 @@ def test_malformed_bundle_exits_3(tmp_path, capsys, trained_bundle, edit):
     assert main(["prune", "--bundle", str(bad), "--config", str(write_config(tmp_path))]) == 3
     assert capsys.readouterr().err.startswith("data error:")
     assert not (tmp_path / "run").exists()
+
+
+def test_train_reads_a_utf8_config_in_an_ascii_locale(tmp_path):
+    # a valid UTF-8 config whose out.dir is not ASCII, run where the locale
+    # (and so the default text and file name encoding) is ASCII
+    cfg = write_config(tmp_path, {"train.steps": 20, "out.dir": "run-é"})
+    cfg.write_text(json.dumps(json.loads(cfg.read_text()), ensure_ascii=False), encoding="utf-8")
+    src = str(Path(tropiprune.__file__).parents[1])
+    env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "tropiprune", "train",
+                           "--config", cfg.name], cwd=tmp_path, env=env, capture_output=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    # the directory is named by the config's UTF-8 bytes, as in a UTF-8 locale
+    assert (tmp_path / "run-é" / "bundle.json").is_file()
+    assert done.stdout.decode("utf-8").splitlines() == [
+        os.path.join("run-é", "bundle.json"), os.path.join("run-é", "train_log.csv")]
 
 
 def test_prune_missing_bundle_exits_3(tmp_path, capsys):

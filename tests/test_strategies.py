@@ -3,11 +3,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tropiprune import (AdapterLayer, ParamIndex, PruneScope,
-                        apply_mask, combined_select, forward, select_smallest,
+from tropiprune import (AdapterLayer, PruneScope, apply_mask, combined_select, forward,
                         standard_mask, strategies, tropical_mask)
 
-from oracles import brute_smallest
+from oracles import brute_smallest, mask_tuples
 
 CB, CU, CN = PruneScope.CLASS_BLIND, PruneScope.CLASS_UNIFORM, PruneScope.NODE_WISE
 
@@ -18,6 +17,15 @@ def layer_from(down, up):
 
 def random_layer(rng, d=4, r=2):
     return AdapterLayer(rng.normal(size=(r, d + 1)), rng.normal(size=(d, r)))
+
+
+def flat(mask):
+    """Every entry of a mask, layer by layer, down before up, row-major."""
+    return np.concatenate([m.ravel() for pair in mask.entries for m in pair])
+
+
+def pruned_per_layer(mask):
+    return [int(down.sum() + up.sum()) for down, up in mask.entries]
 
 
 def test_scope_tokens():
@@ -32,10 +40,10 @@ def test_select_empty_and_full():
     layers = [random_layer(rng)]
     total = layers[0].param_count
     for scope in (CB, CU, CN):
-        assert select_smallest(layers, 0.0, scope) == set()
-        assert len(select_smallest(layers, 1.0, scope)) == total
+        assert not flat(standard_mask(layers, 0.0, scope)).any()
+        assert flat(standard_mask(layers, 1.0, scope)).sum() == total
     with pytest.raises(ValueError):
-        select_smallest(layers, 1.5, CB)
+        standard_mask(layers, 1.5, CB)
     with pytest.raises(ValueError):
         standard_mask([], 0.5, CB)
 
@@ -43,40 +51,37 @@ def test_select_empty_and_full():
 def test_select_smallest_by_magnitude():
     # values 3, -1, 0.5, -2 pooled: the two smallest magnitudes are 0.5 and -1
     layer = layer_from([[3.0, -1.0, 0.5, -2.0]], [[0.0], [0.0], [0.0]])
-    picked = select_smallest([layer], 4 / 7, CB)
+    (down, _), = standard_mask([layer], 4 / 7, CB).entries
     # bottom four of seven: the three zero up-entries plus |0.5|... restrict to down
-    down_picked = {i for i in picked if i.matrix == "down"}
-    assert down_picked == {ParamIndex(0, "down", 0, 2)}
-    picked = select_smallest([layer], 5 / 7, CB)
-    down_picked = {i for i in picked if i.matrix == "down"}
-    assert down_picked == {ParamIndex(0, "down", 0, 1), ParamIndex(0, "down", 0, 2)}
+    assert np.argwhere(down).tolist() == [[0, 2]]
+    (down, _), = standard_mask([layer], 5 / 7, CB).entries
+    assert np.argwhere(down).tolist() == [[0, 1], [0, 2]]
 
 
 def test_select_tie_break_is_index_order():
     layer = layer_from([[1.0, 1.0, 1.0]], [[1.0], [1.0]])
-    picked = select_smallest([layer], 2 / 5, CB)
-    assert picked == {ParamIndex(0, "down", 0, 0), ParamIndex(0, "down", 0, 1)}
+    (down, up), = standard_mask([layer], 2 / 5, CB).entries
+    assert np.argwhere(down).tolist() == [[0, 0], [0, 1]] and not up.any()
 
 
 def test_scope_grouping():
     big = layer_from([[10.0, 10.0, 5.0]], [[10.0], [10.0]])
     small = layer_from([[0.2, 0.2, 0.3]], [[0.2], [0.2]])
     # class-blind pools everything: the four smallest live in the second layer
-    blind = select_smallest([big, small], 4 / 10, CB)
-    assert all(i.layer == 1 for i in blind)
+    blind = standard_mask([big, small], 4 / 10, CB)
+    assert pruned_per_layer(blind)[0] == 0
     # per-layer keeps the split even: two from each
-    uniform = select_smallest([big, small], 2 / 5, CU)
-    assert sum(1 for i in uniform if i.layer == 0) == 2
-    assert sum(1 for i in uniform if i.layer == 1) == 2
+    uniform = standard_mask([big, small], 2 / 5, CU)
+    assert pruned_per_layer(uniform) == [2, 2]
 
 
 def test_node_wise_groups_are_rows():
     down = [[1.0, 9.0, 9.0], [9.0, 1.0, 9.0]]
     up = [[1.0, 9.0], [9.0, 1.0]]
-    picked = select_smallest([layer_from(down, up)], 1 / 3, CN)
+    (down_mask, up_mask), = standard_mask([layer_from(down, up)], 1 / 3, CN).entries
     # every row group of three... down rows have 3 entries (floor 1 each),
     # up rows have 2 entries (floor 0)
-    assert picked == {ParamIndex(0, "down", 0, 0), ParamIndex(0, "down", 1, 1)}
+    assert np.argwhere(down_mask).tolist() == [[0, 0], [1, 1]] and not up_mask.any()
 
 
 def test_node_wise_scale_invariance():
@@ -84,8 +89,8 @@ def test_node_wise_scale_invariance():
     layer = random_layer(rng)
     scaled = AdapterLayer(5.0 * layer.down, 5.0 * layer.up)
     for scope in (CU, CN):
-        assert select_smallest([layer], 0.4, scope) == \
-            select_smallest([scaled], 0.4, scope)
+        assert np.array_equal(flat(standard_mask([layer], 0.4, scope)),
+                              flat(standard_mask([scaled], 0.4, scope)))
 
 
 def test_tropical_mask_identical_rankings():
@@ -113,7 +118,8 @@ def test_tropical_mask_partial_agreement_toy():
     opt = layer_from([[10.0, 1.0, 10.0], [10.0, 10.0, 10.0]],
                      [[10.0, 10.0], [0.5, 10.0]])
     mask, p_hat = tropical_mask([orig], [opt], 2 / 10, CB)
-    assert mask.indices() == {ParamIndex(0, "up", 1, 0)}
+    (down, up), = mask.entries
+    assert not down.any() and np.argwhere(up).tolist() == [[1, 0]]
     assert p_hat == pytest.approx(1 / 10)
 
 
@@ -134,7 +140,7 @@ def test_achieved_fraction_never_exceeds_requested():
         scope = rng.choice([CB, CU, CN])
         mask, p_hat = tropical_mask([orig], [opt], p, scope)
         assert p_hat <= p + 1e-12
-        assert mask.indices() <= select_smallest([orig], p, scope)
+        assert not np.any(flat(mask) & ~flat(standard_mask([orig], p, scope)))
 
 
 def test_achieved_fraction_monotone_in_requested():
@@ -151,7 +157,7 @@ def test_standard_mask_matches_selection():
     rng = np.random.default_rng(13)
     layer = random_layer(rng)
     mask = standard_mask([layer], 0.3, CU)
-    assert mask.indices() == select_smallest([layer], 0.3, CU)
+    assert mask_tuples(mask) == brute_smallest([(layer.down, layer.up)], 0.3, "CU")
     assert standard_mask([layer], 0.0, CB).count() == 0
 
 
@@ -170,8 +176,7 @@ def test_per_layer_counts_follow_floor():
     p = 0.37
     mask = standard_mask(layers, p, CU)
     for i, layer in enumerate(layers):
-        got = sum(1 for idx in mask.indices() if idx.layer == i)
-        assert abs(got - int(p * layer.param_count)) <= 1
+        assert abs(pruned_per_layer(mask)[i] - int(p * layer.param_count)) <= 1
 
 
 def tied_layer(rng, d, r):
@@ -196,10 +201,10 @@ def test_masks_match_brute_ranking_on_tied_multi_layer_inputs():
         for scope in (CB, CU, CN):
             for p in fractions:
                 want = brute_smallest(pairs_o, p, scope.value)
-                assert {tuple(i) for i in standard_mask(originals, p, scope).indices()} == want
+                assert mask_tuples(standard_mask(originals, p, scope)) == want
                 mask, p_hat = tropical_mask(originals, surrogates, p, scope)
                 agreed = want & brute_smallest(pairs_s, p, scope.value)
-                assert {tuple(i) for i in mask.indices()} == agreed
+                assert mask_tuples(mask) == agreed
                 assert p_hat == len(agreed) / mask.size()
         # the grid reads every cell off one ranking per scope, with the same masks
         grid = list(strategies.prune_grid(originals, surrogates, fractions, (CB, CU, CN)))
@@ -258,9 +263,8 @@ def test_apply_mask():
 
     partial = standard_mask([layer], 0.4, CB)
     pruned = apply_mask([layer], partial)[0]
-    for idx in partial.indices():
-        mat = pruned.down if idx.matrix == "down" else pruned.up
-        assert mat[idx.row, idx.col] == 0.0
+    down_mask, up_mask = partial.entries[0]
+    assert np.all(pruned.down[down_mask] == 0.0) and np.all(pruned.up[up_mask] == 0.0)
     kept = ~partial.entries[0][0]
     assert np.array_equal(pruned.down[kept], layer.down[kept])
     # originals untouched
