@@ -15,12 +15,16 @@ it keeps the text of every value in a table of the tensor's shape (`S24`,
 the longest float64 `repr`; a 1-D tensor is one row), and joins the table
 into the same `indent=1` layout one row at a time as it writes the file, so
 a save never holds the whole file's text.  Given `like`, a bundle written
-before, the writer copies `like`'s table and renders only the values whose
-bits differ from the ones at the same place in `like` (so -0.0 and 0.0 stay
-apart), each distinct value once; a tensor whose distinct changed values
-outnumber half its entries is rendered afresh instead.  `like`'s tables are
-kept on that bundle, so `prune` renders each value of the original once
-however many pruned bundles it writes.
+before, a tensor whose bits all equal `like`'s (so -0.0 and 0.0 stay apart)
+is written as `like`'s whole text, joined once and kept with `like`'s
+table.  For any other tensor of `like`'s shape the writer copies `like`'s
+table and renders only the values whose bits differ, each distinct value
+once; a tensor whose distinct changed values outnumber half its entries is
+rendered afresh instead.  `like`'s tables and texts are kept on that
+bundle, so `prune` renders each value of the original once, and joins each
+unchanged tensor once, however many pruned bundles it writes.
+`copy_atomic` writes an already written file's bytes under another name,
+as `prune` does for a cell whose mask an earlier cell already applied.
 """
 
 from __future__ import annotations
@@ -52,6 +56,12 @@ class _Rendered:
 
     values: np.ndarray
     texts: np.ndarray
+
+    @cached_property
+    def text(self) -> bytes:
+        """The tensor's whole text, joined on first use and kept, for the writes
+        of tensors with these very bits."""
+        return b"".join(_joined(self.texts, self.values.ndim))
 
 
 @dataclass(frozen=True)
@@ -113,6 +123,12 @@ def write_text_atomic(path: str | Path, *pieces: str) -> None:
     """Write the pieces' concatenation as UTF-8 via a sibling temp file and
     rename, so readers never see halves."""
     _write_atomic(path, map(str.encode, pieces))
+
+
+def copy_atomic(source: str | Path, path: str | Path) -> None:
+    """Write the bytes of the file at `source` to `path` the way every output
+    is written: via a sibling temp file and rename."""
+    _write_atomic(path, [Path(source).read_bytes()])
 
 
 def read_json(path: str | Path, what: str, error: type[Exception]):
@@ -203,20 +219,30 @@ def _pieces(bundle: WeightBundle, like: WeightBundle | None) -> Iterator[bytes]:
 
 def _tensor_pieces(tensors: dict[str, np.ndarray],
                    kept: dict[str, _Rendered]) -> Iterator[bytes]:
-    """The "tensors" object's members in pieces, each tensor rendered as its
-    turn comes and joined one row at a time."""
+    """The "tensors" object's members in pieces: a tensor with the bits of
+    its `kept` rendering as that rendering's whole text, any other rendered
+    as its turn comes and joined one row at a time."""
     sep = b"\n  "
     for name, values in tensors.items():
         yield sep + json.dumps(name).encode() + b": "
         sep = b",\n  "
-        texts = _texts(values, kept.get(name))
-        if values.ndim == 1:
-            yield _json_list(texts[0].tolist(), 2)
+        like = kept.get(name)
+        if (like is not None and like.values.shape == values.shape
+                and np.array_equal(like.values.view(np.int64), values.view(np.int64))):
+            yield like.text
         else:
-            first, between, last = _layout(2)
-            for i, row in enumerate(texts):
-                yield (between if i else first) + _json_list(row.tolist(), 3)
-            yield last if len(texts) else b"[]"
+            yield from _joined(_texts(values, like), values.ndim)
+
+
+def _joined(texts: np.ndarray, ndim: int) -> Iterator[bytes]:
+    """A tensor's text table in `json.dumps(indent=1)`'s layout two deep, a row at a time."""
+    if ndim == 1:
+        yield _json_list(texts[0].tolist(), 2)
+        return
+    first, between, last = _layout(2)
+    for i, row in enumerate(texts):
+        yield (between if i else first) + _json_list(row.tolist(), 3)
+    yield last if len(texts) else b"[]"
 
 
 def bundle_to_json(bundle: WeightBundle, like: WeightBundle | None = None) -> str:

@@ -3,8 +3,8 @@
 Every command reads a JSON config, runs deterministically for the seeds it is
 given, and writes its outputs atomically.  Exit codes: 0 success, 2 config
 error, 3 data error, 4 numeric failure.  An output directory that cannot be
-made, or a `sweep --out` that names a directory, is rejected (exit 2) before
-any work starts.
+made (a NUL in its name, or a file where a directory must be), or a `sweep
+--out` that names a directory, is rejected (exit 2) before any work starts.
 
 `sweep` splits its seeds into contiguous chunks, one per usable CPU and of
 at most MAX_STACK seeds each.  A forked worker trains its chunk's models as
@@ -32,10 +32,13 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
-from .bundle import WeightBundle, load_bundle, read_json, save_bundle, write_text_atomic
+import numpy as np
+
+from .bundle import (WeightBundle, copy_atomic, load_bundle, read_json, save_bundle,
+                     write_text_atomic)
 from .errors import ConfigError, DataError, NumericError
 from .geometry import project_generators, zonotope_vertices
 from .adapter import node_generators
@@ -209,6 +212,8 @@ def _out_dir(cfg: dict) -> Path:
     out = cfg.get("out", {})
     if "dir" not in out:
         raise ConfigError("missing field: out.dir")
+    if "\0" in out["dir"]:  # a valid JSON string, but no file name can hold it
+        raise ConfigError(f"bad out section: dir {out['dir']!r} holds a NUL character")
     # the config is UTF-8 text, so its directory names those bytes in any locale
     with _errors("out section"):
         return _usable_dir(Path(os.fsdecode(out["dir"].encode("utf-8"))), "out section")
@@ -299,18 +304,29 @@ def cmd_prune(args) -> int:
                                                up=optimized[0].up))
     # like=bundle: every written bundle copies the original's text table,
     # rendered once for the whole grid, and renders only its changed values,
-    # so a pruned tensor's zeros are rendered once each.  The optimized
-    # bundle's adapter, nearly every value of which changed, is rendered afresh
+    # so a pruned tensor's zeros are rendered once each; a tensor no write
+    # changes (feature_map, head) is joined once and reused whole.  The
+    # optimized bundle's adapter, nearly every value of which changed, is
+    # rendered afresh
     save_bundle(WeightBundle(opt_model, optimized=True, meta=bundle.meta),
                 out / "optimized.json", like=bundle)
     report = {"total_params": sum(l.param_count for l in originals), "cells": []}
+    # a mask's bits -> the bundle it was first applied to: a later cell with
+    # the same mask (CB and CU, with one layer) copies that file's bytes
+    written = {}
     for p, scope, masks in prune_grid(originals, optimized, fractions, scopes):
         for method in methods:
             mask, achieved = masks[method]
-            pruned_model = replace(model, adapter=apply_mask(originals, mask)[0])
             name = f"pruned_{method}_{scope.value}_{_fraction_tag(p)}.json"
-            save_bundle(WeightBundle(pruned_model, meta=bundle.meta), out / name,
-                        like=bundle)
+            bits = np.packbits(np.concatenate([m.ravel() for pair in mask.entries
+                                               for m in pair])).tobytes()
+            first = written.setdefault(bits, name)
+            if first == name:
+                pruned_model = replace(model, adapter=apply_mask(originals, mask)[0])
+                save_bundle(WeightBundle(pruned_model, meta=bundle.meta), out / name,
+                            like=bundle)
+            else:
+                copy_atomic(out / first, out / name)
             report["cells"].append({
                 "method": method, "scope": scope.value, "p": p,
                 "p_hat": achieved, "pruned": mask.count(),
@@ -431,6 +447,10 @@ def cmd_plot_zonotope(args) -> int:
     dims = _parse_dims(args.dims)
     before = load_bundle(args.before)
     after = load_bundle(args.after)
+    shapes = [(b.model.adapter.down.shape, b.model.adapter.up.shape) for b in (before, after)]
+    if shapes[0] != shapes[1]:
+        raise DataError(f"--before and --after hold different adapters: down and up "
+                        f"shapes {shapes[0]} and {shapes[1]}")
     poly_before = _node_polytope(before, args.layer, args.node, dims)
     poly_after = _node_polytope(after, args.layer, args.node, dims)
     svg = zonotope_overlay_svg(poly_before, poly_after)
@@ -439,7 +459,10 @@ def cmd_plot_zonotope(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: `main` reads every
+    argv with it."""
     parser = argparse.ArgumentParser(
         prog="tropiprune",
         description="Train, prune, and inspect bottleneck adapters on synthetic tasks.")

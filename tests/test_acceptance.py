@@ -25,7 +25,7 @@ from tropiprune.harness import init_model
 from tropiprune.optimizer import branch_loss
 from tropiprune.svgplot import loss_curve_svg, zonotope_overlay_svg
 
-from oracles import graham_hull_vertices, mask_tuples, subset_sums, support
+from oracles import brute_smallest, graham_hull_vertices, mask_tuples, subset_sums, support
 
 
 def report(number, ok, detail):
@@ -239,31 +239,6 @@ def test_criterion_07_sparsity_with_preserved_geometry(twenty_runs):
 
 # ---------------------------------------------------------------- criterion 8
 
-def brute_bottom_fraction(layers, fraction, scope):
-    """Flat re-enumeration of the bottom-fraction selection, groups included."""
-    entries = []
-    for li, layer in enumerate(layers):
-        for tag, mat in (("down", layer.down), ("up", layer.up)):
-            for r in range(mat.shape[0]):
-                for c in range(mat.shape[1]):
-                    entries.append((li, tag, r, c, abs(float(mat[r, c]))))
-    if scope is PruneScope.CLASS_BLIND:
-        keyer = lambda e: ()
-    elif scope is PruneScope.CLASS_UNIFORM:
-        keyer = lambda e: (e[0],)
-    else:
-        keyer = lambda e: (e[0], e[1], e[2])
-    groups = {}
-    for e in entries:
-        groups.setdefault(keyer(e), []).append(e)
-    picked = set()
-    for members in groups.values():
-        members.sort(key=lambda e: (e[4], e[0], e[1], e[2], e[3]))
-        take = int(math.floor(fraction * len(members) + 1e-9))
-        picked.update((e[0], e[1], e[2], e[3]) for e in members[:take])
-    return picked
-
-
 def test_criterion_08_mask_algebra_on_exhaustive_fixture():
     down = np.array([[0.1, -0.2, 0.3, -0.4],
                      [0.5, -0.6, 0.7, -0.8],
@@ -293,11 +268,12 @@ def test_criterion_08_mask_algebra_on_exhaustive_fixture():
     for scope, n_groups in groups.items():
         for k in range(total + 1):
             p = k / total
-            want_s = brute_bottom_fraction([original], p, scope)
+            want_s = brute_smallest([(original.down, original.up)], p, scope.value)
             got_s = mask_tuples(standard_mask([original], p, scope))
             mask, p_hat = tropical_mask([original], [surrogate], p, scope)
             got_t = mask_tuples(mask)
-            want_t = want_s & brute_bottom_fraction([surrogate], p, scope)
+            want_t = want_s & brute_smallest([(surrogate.down, surrogate.up)],
+                                             p, scope.value)
             std = standard_mask([original], p_hat, scope)
             checks = (got_s == want_s and got_t == want_t
                       and p_hat <= p + 1e-12

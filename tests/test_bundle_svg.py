@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import stat
 import tracemalloc
@@ -216,6 +217,13 @@ def test_writer_keeps_signed_zeros_apart_from_like():
     mixed = WeightBundle(TinyModel(model.feature_map, AdapterLayer(signs, adapter.up),
                                    model.head_w, model.head_b))
     assert bundle_to_json(mixed, like=WeightBundle(model)) == bundle_json(mixed)
+    # a tensor that equals like's but for a zero's sign is rendered, not reused whole
+    head_b = np.array([0.0, 0.5])
+    like = WeightBundle(replace(model, head_b=head_b))
+    flipped = WeightBundle(replace(model, head_b=head_b * np.array([-1.0, 1.0])))
+    text = bundle_to_json(flipped, like=like)
+    assert text == bundle_json(flipped)
+    assert [math.copysign(1.0, b) for b in json.loads(text)["tensors"]["head.b"]] == [-1.0, 1.0]
 
 
 @pytest.mark.parametrize("text", ["-2.2250738585072014e-308", "-1.7976931348623157e+308",

@@ -13,12 +13,14 @@ import numpy as np
 import pytest
 
 import tropiprune
+from oracles import bundle_json, mask_tuples
 from tropiprune import AdapterLayer, cli, harness, optimizer
-from tropiprune.bundle import load_bundle
+from tropiprune.bundle import WeightBundle, load_bundle, save_bundle
 from tropiprune.cli import main
 from tropiprune.errors import NumericError
 from tropiprune.harness import METHODS, SyntheticTask, init_model
 from tropiprune.optimizer import OptimConfig
+from tropiprune.strategies import PruneScope, apply_mask, prune_grid
 
 BASE_CONFIG = {
     "task": {"kind": "blobs", "n_train": 400, "n_dev": 120, "n_test": 120,
@@ -189,6 +191,9 @@ MALFORMED = [
     ("train", "task", None, [1]),
     ("prune", "prune", "fractions", [1.5]),
     ("train", "out", None, {}),
+    # a NUL, valid in JSON but in no file name: trained or fitted, then exit 1
+    ("train", "out", "dir", "a\u0000b"),
+    ("prune", "out", "dir", "a\u0000b"),
 ]
 
 
@@ -324,6 +329,58 @@ def test_prune_masks_match_library_route(tmp_path):
     got = next(c for c in report["cells"]
                if c["method"] == "tropical" and c["p"] == 0.5)
     assert got["p_hat"] == pytest.approx(p_hat)
+
+
+def test_prune_writes_each_distinct_mask_once(tmp_path, monkeypatch, trained_bundle):
+    # with one layer CB and CU rank alike, and every fraction 0.0 mask is
+    # empty: a cell whose mask an earlier cell applied gets that file's bytes
+    saved = []
+
+    def save_spy(bundle, path, like=None):
+        saved.append(Path(path).name)
+        save_bundle(bundle, path, like=like)
+
+    monkeypatch.setattr(cli, "save_bundle", save_spy)
+    fractions, scopes = [0.0, 0.3, 0.6], ["CB", "CU", "CN"]
+    cfg = write_config(tmp_path, {"prune.fractions": fractions, "prune.scopes": scopes})
+    assert main(["prune", "--bundle", str(trained_bundle), "--config", str(cfg)]) == 0
+    out = tmp_path / "run"
+    original = load_bundle(trained_bundle)
+    layers = [original.model.adapter]
+    fit = optimizer.run(layers[0], OptimConfig(iterations=60, lr=0.01, l1_pos=0.01,
+                                               l1_neg=0.01, tol=0.0))
+    distinct = set()
+    for p, scope, masks in prune_grid(layers, [fit], fractions, list(PruneScope)):
+        for method, (mask, _) in masks.items():
+            distinct.add(frozenset(mask_tuples(mask)))
+            pruned = replace(original.model, adapter=apply_mask(layers, mask)[0])
+            name = f"pruned_{method}_{scope.value}_p{round(p * 100):03d}.json"
+            assert (out / name).read_text() == bundle_json(WeightBundle(pruned, meta=original.meta))
+            if scope is PruneScope.CLASS_UNIFORM:
+                assert (out / name).read_bytes() == (out / name.replace("CU", "CB")).read_bytes()
+    assert saved[0] == "optimized.json"
+    assert len(saved) == len(distinct) + 1 < 1 + 2 * len(fractions) * len(scopes)
+
+
+def test_prune_twice_in_one_process_writes_the_same_bytes(tmp_path, trained_bundle):
+    # as the benchmark runs it: round after round through main in one process
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        cfg = write_config(tmp_path, {"out.dir": str(out), "prune.scopes": ["CB", "CU", "CN"]},
+                           name=f"{out.name}.json")
+        assert main(["prune", "--bundle", str(trained_bundle), "--config", str(cfg)]) == 0
+    first, again = ({p.name: p.read_bytes() for p in out.iterdir()} for out in outs)
+    assert len(first) == 3 + 2 * 2 * 3 and first == again
+
+
+def test_module_help_exits_0():
+    src = str(Path(tropiprune.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "tropiprune", "--help"], env=env,
+                          capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert b"plot-zonotope" in done.stdout
 
 
 @pytest.mark.parametrize("key,entries", [("fractions", [0.501, 0.504]),
@@ -780,7 +837,6 @@ def polygon_area(points_attr):
 def test_plot_zonotope_converged_fixture_keeps_shape(tmp_path):
     # weights far above the sparsity pull: the fitted surrogate converges with
     # barely moved generators, so the plotted polygons nearly coincide
-    from tropiprune.bundle import WeightBundle, save_bundle
     from tropiprune.harness import TinyModel
     from tropiprune.adapter import AdapterLayer
 
@@ -808,6 +864,22 @@ def test_plot_zonotope_converged_fixture_keeps_shape(tmp_path):
     assert len(before.split()) <= 2 * bottleneck
     assert len(after.split()) <= 2 * bottleneck
     assert 0.5 * polygon_area(before) <= polygon_area(after) <= 1.5 * polygon_area(before)
+
+
+@pytest.mark.parametrize("features,bottleneck", [(16, 2), (24, 4)])
+def test_plot_zonotope_refuses_adapters_of_different_shapes(tmp_path, capsys,
+                                                            features, bottleneck):
+    # node 0 and dims 0,1 exist in both adapters, which overlaid would be unrelated
+    paths = [tmp_path / "before.json", tmp_path / "after.json"]
+    for path, (f, r) in zip(paths, [(16, 4), (features, bottleneck)]):
+        save_bundle(WeightBundle(init_model(in_dim=8, features=f, bottleneck=r, seed=1)), path)
+    svg_path = tmp_path / "x.svg"
+    assert main(["plot-zonotope", "--before", str(paths[0]), "--after", str(paths[1]),
+                 "--layer", "0", "--node", "0", "--dims", "0,1", "--out", str(svg_path)]) == 3
+    err = capsys.readouterr().err
+    shapes = f"(({bottleneck}, {features + 1}), ({features}, {bottleneck}))"
+    assert err.startswith("data error:") and shapes in err
+    assert not svg_path.exists()
 
 
 def test_plot_zonotope_bad_node_exits_3(tmp_path, capsys):
