@@ -187,6 +187,9 @@ def _grid(cfg: dict, allowed: tuple[str, ...]):
     if not set(methods) <= set(allowed):
         raise ConfigError(f"bad prune section: methods {methods} are not a subset of "
                           f"{list(allowed)}")
+    if len(set(methods)) < len(methods):
+        repeated = next(m for j, m in enumerate(methods) if m in methods[:j])
+        raise ConfigError(f"bad prune section: methods {methods} list {repeated!r} twice")
     return _list(cfg, "prune", "fractions"), _list(cfg, "prune", "scopes", ["CU"]), methods
 
 

@@ -156,44 +156,41 @@ def subgradient(layer: AdapterLayer, down_hat: np.ndarray, up_hat: np.ndarray,
 
 
 class _Layers(NamedTuple):
-    """A layer's matrices, with any leading axes, and the terms every iteration reuses."""
+    """One layer's matrices, r units by d features, and the terms every iteration reuses."""
 
-    down: np.ndarray     # (..., r, d+1)
-    down_sq: np.ndarray  # (..., r): each down row's squared norm
-    parts: np.ndarray    # (..., 2, d, r): both branches' parts of up
-    up_size: np.ndarray  # (..., d, r): |up|
-    up_sign: np.ndarray  # (..., d, r): sign(up)
-    l1_up: np.ndarray    # (..., d, r): the penalty of each up entry's branch
+    down: np.ndarray     # (r, d+1)
+    down_sq: np.ndarray  # (r,): each down row's squared norm
+    parts: np.ndarray    # (2, d, r): both branches' parts of up
+    up_size: np.ndarray  # (d, r): |up|
+    up_sign: np.ndarray  # (d, r): sign(up)
+    l1_up: np.ndarray    # (d, r): the penalty of each up entry's branch
 
     @classmethod
     def of(cls, down: np.ndarray, up: np.ndarray, l1_pos: float, l1_neg: float) -> "_Layers":
-        return cls(down, (down * down).sum(axis=-1), _parts(up), np.abs(up), np.sign(up),
+        return cls(down, (down * down).sum(axis=1), _parts(up), np.abs(up), np.sign(up),
                    np.where(up > 0.0, l1_pos, l1_neg))
 
 
 def _parts(up_hat: np.ndarray) -> np.ndarray:
-    """Both branches' parts of `up_hat`, on a new axis before its last two."""
-    return np.maximum(_BRANCH_SIGNS * up_hat[..., None, :, :], 0.0)
-
-
-def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return (m @ v[..., None])[..., 0]
+    """Both branches' parts of the (d, r) `up_hat`, as one (2, d, r) array."""
+    return np.maximum(_BRANCH_SIGNS * up_hat, 0.0)
 
 
 def _loss(fixed: _Layers, l1: np.ndarray, down_hat: np.ndarray, part_hat: np.ndarray,
-          hat_l1: np.ndarray) -> np.ndarray:
-    """objective_value of each surrogate, given its up parts and down row L1 norms."""
+          hat_l1: np.ndarray) -> float:
+    """objective_value of one surrogate: its (r, d+1) `down_hat`, the (2, d, r)
+    parts of its up, and the (r,) L1 norms of `down_hat`'s rows."""
     # row sums are taken with .sum() and both branches in one array: at toy
     # shapes the per-call overhead of numpy is a visible share of the fit
     delta = down_hat - fixed.down
-    delta_sq = (delta * delta).sum(axis=-1)
-    cross = (delta * fixed.down).sum(axis=-1)
+    delta_sq = (delta * delta).sum(axis=1)
+    cross = (delta * fixed.down).sum(axis=1)
     part_delta = part_hat - fixed.parts
-    per_branch = (0.5 * (_matvec((part_hat * part_hat).sum(axis=-2), delta_sq)
-                         + 2.0 * _matvec((part_hat * part_delta).sum(axis=-2), cross)
-                         + _matvec((part_delta * part_delta).sum(axis=-2), fixed.down_sq))
-                  + l1 * _matvec(part_hat.sum(axis=-2), hat_l1))
-    return per_branch.sum(axis=-1)
+    per_branch = (0.5 * ((part_hat * part_hat).sum(axis=1) @ delta_sq
+                         + 2.0 * (part_hat * part_delta).sum(axis=1) @ cross
+                         + (part_delta * part_delta).sum(axis=1) @ fixed.down_sq)
+                  + l1 * (part_hat.sum(axis=1) @ hat_l1))
+    return per_branch.sum()
 
 
 def _down_block(fixed: _Layers, l1: np.ndarray, down_hat: np.ndarray,
@@ -208,11 +205,11 @@ def _down_block(fixed: _Layers, l1: np.ndarray, down_hat: np.ndarray,
     row whose parts ph_ij are all 0 (S2_j = 0) leaves the objective flat in
     x and keeps its value.
     """
-    s2 = (part_hat * part_hat).sum(axis=(-3, -2))
-    gap = (part_hat * (part_hat - fixed.parts)).sum(axis=(-3, -2))  # S2 - S1
-    thresh = (l1 @ part_hat.sum(axis=-2) / s2)[..., None]
-    y = fixed.down - (gap / s2)[..., None] * fixed.down
-    return np.where((s2 > 0.0)[..., None], y - np.clip(y, -thresh, thresh), down_hat)
+    s2 = (part_hat * part_hat).sum(axis=(0, 1))
+    gap = (part_hat * (part_hat - fixed.parts)).sum(axis=(0, 1))  # S2 - S1
+    thresh = (l1 @ part_hat.sum(axis=1) / s2)[:, None]
+    y = fixed.down - (gap / s2)[:, None] * fixed.down
+    return np.where((s2 > 0.0)[:, None], y - np.clip(y, -thresh, thresh), down_hat)
 
 
 def _up_block(fixed: _Layers, down_hat: np.ndarray, hat_l1: np.ndarray) -> np.ndarray:
@@ -226,10 +223,9 @@ def _up_block(fixed: _Layers, down_hat: np.ndarray, hat_l1: np.ndarray) -> np.nd
     holds, and column j is set to 0, the minimal-norm minimiser.  Zeros
     are written as 0.0, never -0.0.
     """
-    a = (down_hat * down_hat).sum(axis=-1)[..., None, :]
-    gap = (down_hat * (down_hat - fixed.down)).sum(axis=-1)[..., None, :]  # a - c
-    size = fixed.up_size
-    shrunk = size - (size * gap + fixed.l1_up * hat_l1[..., None, :]) / a
+    a = (down_hat * down_hat).sum(axis=1)
+    gap = (down_hat * (down_hat - fixed.down)).sum(axis=1)  # a - c
+    shrunk = fixed.up_size - (fixed.up_size * gap + fixed.l1_up * hat_l1) / a
     return np.where((a > 0.0) & (shrunk > 0.0), fixed.up_sign * shrunk, 0.0)
 
 

@@ -117,7 +117,7 @@ def reference_fit(layer, config):
     minimisers and loss (each is checked against the objective's definition
     in `test_optimizer`); what it keeps apart is the control flow.  It
     computes every iteration until the `tol` test passes or the iterations
-    run out, with no stack and no early exit on a repeated iterate.  Returns
+    run out, with no early exit on a repeated iterate.  Returns
     (down, up, trace, converged_at), or the NumericError the fit raises.
     """
     from tropiprune import optimizer as opt
@@ -125,8 +125,8 @@ def reference_fit(layer, config):
 
     l1 = np.array([config.l1_pos, config.l1_neg])
     with np.errstate(all="ignore"):
-        fixed = opt._Layers.of(layer.down[None], layer.up[None], config.l1_pos, config.l1_neg)
-        down_hat, up_hat, part_hat = fixed.down, layer.up[None], fixed.parts
+        fixed = opt._Layers.of(layer.down, layer.up, config.l1_pos, config.l1_neg)
+        down_hat, up_hat, part_hat = fixed.down, layer.up, fixed.parts
         hat_l1 = np.abs(down_hat).sum(axis=-1)
         trace = []
         for t in range(config.iterations + 1):
@@ -135,15 +135,61 @@ def reference_fit(layer, config):
                 hat_l1 = np.abs(down_hat).sum(axis=-1)
                 up_hat = opt._up_block(fixed, down_hat, hat_l1)
                 part_hat = opt._parts(up_hat)
-            loss = float(opt._loss(fixed, l1, down_hat, part_hat, hat_l1)[0])
+            loss = float(opt._loss(fixed, l1, down_hat, part_hat, hat_l1))
             if not math.isfinite(loss):
                 return NumericError(f"surrogate loss is not finite at iteration {t}: {loss!r}")
             trace.append((t, loss))
             if t >= config.window:
                 prev = trace[t - config.window][1]
                 if abs(loss - prev) / max(abs(prev), 1e-300) < config.tol:
-                    return down_hat[0], up_hat[0], trace, t
-    return down_hat[0], up_hat[0], trace, None
+                    return down_hat, up_hat, trace, t
+    return down_hat, up_hat, trace, None
+
+
+def order_breaks(original, fitted, within=None):
+    """The rows of `fitted` that break the signs or magnitude order of `original`'s rows.
+
+    A row keeps them when each entry has its original's sign or is 0, and
+    |o_k| <= |o_l| implies |f_k| <= |f_l| for each pair (k, l), so equal
+    magnitudes stay equal.  Only the entries where `within` is True (every
+    entry by default) take part in the order; signs are checked everywhere.
+    Sorted by |original|, the pairs become neighbours: |fitted| must never
+    fall along a row, and must hold still across each tie.
+    """
+    within = np.ones(original.shape, dtype=bool) if within is None else within
+    signs = (fitted == 0.0) | (np.sign(fitted) == np.sign(original))
+    # the entries left out sort first, all tied at -1 on both sides
+    size, size_hat = (np.where(within, np.abs(m), -1.0) for m in (original, fitted))
+    order = np.argsort(size, axis=1, kind="stable")
+    rise = np.diff(np.take_along_axis(size, order, axis=1), axis=1)
+    rise_hat = np.diff(np.take_along_axis(size_hat, order, axis=1), axis=1)
+    ordered = (rise_hat >= 0.0) & ((rise > 0.0) | (rise_hat == 0.0))
+    return np.flatnonzero(~signs.all(axis=1) | ~ordered.all(axis=1)).tolist()
+
+
+def unit_order_breaks(layer, down_hat, up_hat):
+    """Per block, the units whose surrogate breaks the layer's signs or magnitude order.
+
+    Unit j owns row j of `down` and column j of `up`; the column is compared
+    within each branch ("pos": the layer's positive entries, "neg": its
+    negative ones).  A fit that keeps every order gives empty lists.
+    """
+    return {"down": order_breaks(layer.down, down_hat),
+            "pos": order_breaks(layer.up.T, up_hat.T, layer.up.T > 0.0),
+            "neg": order_breaks(layer.up.T, up_hat.T, layer.up.T < 0.0)}
+
+
+def unit_by_unit_fit(layer, config):
+    """The surrogate (down, up) assembled from fitting each bottleneck unit on its own.
+
+    Unit j is the one-unit layer of `down` row j and `up` column j; the
+    package's `run` fits it, and its fit gives row j and column j.
+    """
+    from tropiprune import AdapterLayer, run
+
+    fits = [run(AdapterLayer(layer.down[j:j + 1], layer.up[:, j:j + 1]), config)
+            for j in range(layer.down.shape[0])]
+    return np.vstack([f.down for f in fits]), np.hstack([f.up for f in fits])
 
 
 def worst_single_entry_move(down, up, down_hat, up_hat, l1_pos, l1_neg, block):

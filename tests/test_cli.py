@@ -194,6 +194,9 @@ MALFORMED = [
     # a NUL, valid in JSON but in no file name: trained or fitted, then exit 1
     ("train", "out", "dir", "a\u0000b"),
     ("prune", "out", "dir", "a\u0000b"),
+    # a repeated method wrote its bundles twice, or scored fewer rows than the grid: exit 0
+    ("prune", "prune", "methods", ["tropical", "tropical"]),
+    ("sweep", "prune", "methods", ["combined", "combined"]),
 ]
 
 
@@ -384,7 +387,8 @@ def test_module_help_exits_0():
 
 
 @pytest.mark.parametrize("key,entries", [("fractions", [0.501, 0.504]),
-                                         ("scopes", ["CU", "cu"])])
+                                         ("scopes", ["CU", "cu"]),
+                                         ("methods", ["tropical", "tropical"])])
 def test_prune_colliding_bundle_names_exit_2(tmp_path, capsys, trained_bundle, key, entries):
     cfg = write_config(tmp_path, {f"prune.{key}": entries})
     assert main(["prune", "--bundle", str(trained_bundle), "--config", str(cfg)]) == 2

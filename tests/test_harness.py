@@ -19,7 +19,8 @@ from oracles import reference_train
 
 def logits(model, x):
     """The model's logits on x the unstacked way: featurize, `forward` with the residual, head."""
-    return forward(model.adapter, featurize(model, x), residual=True) @ model.head_w.T + model.head_b
+    hidden = forward(model.adapter, featurize(model, x), residual=True)
+    return hidden @ model.head_w.T + model.head_b
 
 
 def blobs_task(seed=0):

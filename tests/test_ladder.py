@@ -16,6 +16,8 @@ from tropiprune import AdapterLayer, OptimConfig, init_model, run
 from tropiprune.bundle import WeightBundle, load_bundle, save_bundle
 from tropiprune.strategies import PruneScope, apply_mask, prune_grid, standard_mask
 
+from oracles import reference_fit, unit_by_unit_fit, unit_order_breaks
+
 #: (features d, bottleneck r), up to a BERT-base Houlsby adapter.
 LADDER = [(16, 4), (64, 8), (256, 16), (768, 64)]
 PENALTIES = [OptimConfig().l1_pos, OptimConfig().l1_pos / 10]
@@ -53,6 +55,35 @@ def standard_at_p(model):
     """The standard mask of every (fraction, scope) cell, at the cell's own fraction."""
     return {(p, scope): standard_mask([model.adapter], p, scope)
             for p in FRACTIONS for scope in PruneScope}
+
+
+@pytest.fixture(scope="module")
+def iterates(model, config, fit):
+    """Iterate k of the fit for each k up to its converged_at: `run` at iterations=k, tol 0."""
+    return [run(model.adapter, replace(config, iterations=k, tol=0.0))
+            for k in range(fit.converged_at + 1)]
+
+
+def test_fit_equals_the_every_iteration_fit(model, config, fit):
+    down, up, trace, converged_at = reference_fit(model.adapter, config)
+    assert same_bits(fit.down, down) and same_bits(fit.up, up)
+    assert fit.loss_trace == tuple(trace) and fit.converged_at == converged_at
+
+
+def test_every_iterate_keeps_each_units_order(model, iterates):
+    # each down row, and each up column within each branch, is shrunk
+    # without a sign change or a reordering of its magnitudes
+    for got in iterates:
+        assert unit_order_breaks(model.adapter, got.down, got.up) == \
+            {"down": [], "pos": [], "neg": []}
+
+
+def test_each_unit_fitted_alone_gives_its_slice_of_the_fit(model, config):
+    cfg = replace(config, iterations=60, tol=0.0)
+    whole = run(model.adapter, cfg)
+    for alone, together in zip(unit_by_unit_fit(model.adapter, cfg), (whole.down, whole.up)):
+        assert np.array_equal(alone == 0.0, together == 0.0)
+        np.testing.assert_allclose(alone, together, rtol=1e-9, atol=0.0)
 
 
 def test_fit_loss_never_rises(fit):

@@ -13,7 +13,8 @@ from tropiprune.errors import NumericError
 from tropiprune import optimizer
 from tropiprune.harness import SyntheticTask, generate_task, train_stack
 
-from oracles import materialised_objective, reference_fit, worst_single_entry_move
+from oracles import (materialised_objective, order_breaks, reference_fit, unit_by_unit_fit,
+                     unit_order_breaks, worst_single_entry_move)
 
 
 def random_layer(rng, d=4, r=2, scale=1.0):
@@ -481,6 +482,57 @@ def test_run_equals_the_every_iteration_fit(seed, size, d, r, log_penalty, tol, 
         assert same_bits(got.down, down) and same_bits(got.up, up)
         assert got.loss_trace == tuple(trace)
         assert got.converged_at == converged_at
+
+
+def test_order_breaks_sees_what_it_looks_for():
+    original = np.array([[3.0, -1.0, 2.0, 2.0, 0.0]])
+    for fitted, broken in (([[1.5, -0.5, 1.0, 1.0, 0.0]], []),
+                           ([[0.0, 0.0, 0.0, 0.0, 0.0]], []),
+                           ([[1.0, -0.0, 0.0, 0.0, 0.0]], []),
+                           ([[1.0, -1.5, 1.0, 1.0, 0.0]], [0]),   # order swapped
+                           ([[1.5, -0.5, 1.0, 0.9, 0.0]], [0]),   # a tie split
+                           ([[1.5, 0.5, 1.0, 1.0, 0.0]], [0]),    # a sign flipped
+                           ([[1.5, -0.5, 1.0, 1.0, 0.1]], [0])):  # a zero moved
+        assert order_breaks(original, np.array(fitted)) == broken
+    # left out of the order, an entry may outgrow the others
+    within = np.array([[True, False, True, True, True]])
+    assert order_breaks(original, np.array([[1.5, -5.0, 1.0, 1.0, 0.0]]), within) == []
+
+
+def unit_layer(rng, d, r, ties):
+    """A layer of normal weights, or of multiples of 0.5 in [-1.5, 1.5] (many ties and zeros)."""
+    def draw(shape):
+        return 0.5 * rng.integers(-3, 4, size=shape) if ties else rng.normal(size=shape)
+    return AdapterLayer(draw((r, d + 1)), draw((d, r)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 12), r=st.integers(1, 5),
+       ties=st.booleans(), log_penalty=st.floats(-3.0, 0.0), iterations=st.integers(1, 12))
+def test_every_iterate_keeps_each_units_order(seed, d, r, ties, log_penalty, iterations):
+    # iterate k (run at iterations=k, tol 0) shrinks each down row and,
+    # within each branch, each up column of the layer without reordering it
+    rng = np.random.default_rng(seed)
+    layer = unit_layer(rng, d, r, ties)
+    lam = 10.0 ** log_penalty
+    lam_neg = lam * rng.uniform(0.5, 2.0)
+    for k in range(iterations + 1):
+        got = run(layer, OptimConfig(iterations=k, l1_pos=lam, l1_neg=lam_neg, tol=0.0))
+        assert unit_order_breaks(layer, got.down, got.up) == {"down": [], "pos": [], "neg": []}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 12), r=st.integers(1, 5),
+       ties=st.booleans(), log_penalty=st.floats(-3.0, 0.0))
+def test_each_unit_fitted_alone_gives_its_slice_of_the_fit(seed, d, r, ties, log_penalty):
+    rng = np.random.default_rng(seed)
+    layer = unit_layer(rng, d, r, ties)
+    lam = 10.0 ** log_penalty
+    cfg = OptimConfig(iterations=60, l1_pos=lam, l1_neg=lam * rng.uniform(0.5, 2.0), tol=0.0)
+    whole = run(layer, cfg)
+    for alone, together in zip(unit_by_unit_fit(layer, cfg), (whole.down, whole.up)):
+        assert np.array_equal(alone == 0.0, together == 0.0)
+        np.testing.assert_allclose(alone, together, rtol=1e-9, atol=0.0)
 
 
 def test_readme_fits_stop_at_their_repeats(monkeypatch):

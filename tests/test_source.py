@@ -1,11 +1,12 @@
-"""Source hygiene of the package's modules, checked with the standard library.
+"""Source hygiene of the package, its tests and its tools, checked with the standard library.
 
-Every name a module imports is used in it, unless the line that imports it
+Every name a file imports is used in it, unless the line that imports it
 carries `# noqa: F401` (a name kept for a caller that looks it up on the
 module), and no line is longer than 100 characters.  The only such caller is
-the benchmark's tracer: a marked import must be a name that `_SPANS` in
-`bench/tracing.py` looks up on that module.  `__init__.py` is left out: it
-imports names only to export them.
+the benchmark's tracer: a marked import must be a package module's name that
+`_SPANS` in `bench/tracing.py` looks up on that module.  The package's
+`__init__.py` is left out: it imports names only to export them.  `bench/`
+keeps its own conventions and is not checked.
 """
 
 import ast
@@ -17,6 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tropiprune"
 TRACING = ROOT / "bench" / "tracing.py"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+SOURCES = MODULES + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("tools/*.py"))
 MAX_LINE = 100
 
 
@@ -67,7 +69,12 @@ def test_the_checks_see_what_they_look_for():
                         "_BEFORE = {}\n") == {("cli", "main"), ("harness", "forward")}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def source_id(path: Path) -> str:
+    """A package module's file name; a test's or a tool's path from the root."""
+    return path.name if path.parent == PACKAGE else path.relative_to(ROOT).as_posix()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=source_id)
 def test_module_imports_only_what_it_uses(path):
     assert unused_imports(path.read_text()) == []
 
@@ -79,6 +86,6 @@ def test_marked_imports_are_names_the_tracer_looks_up():
     assert marked - traced == set()
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES, ids=source_id)
 def test_module_lines_fit_in_100_characters(path):
     assert long_lines(path.read_text()) == []
